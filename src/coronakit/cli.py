@@ -146,8 +146,8 @@ def load_run_config(path) -> dict:
     return cfg
 
 
-def _gp_config(cfg: dict) -> evolve.GPConfig:
-    return evolve.GPConfig(
+def _gp_config(cfg: dict, path) -> evolve.GPConfig:
+    config = evolve.GPConfig(
         population_size=cfg["population_size"],
         generations=cfg["generations"],
         max_terms=cfg["max_terms"],
@@ -157,6 +157,11 @@ def _gp_config(cfg: dict) -> evolve.GPConfig:
         template_weights=cfg["template_weights"],
         seed=cfg["seed"],
     )
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +240,17 @@ def load_geometry(path) -> tuple[propagation.LineGeometry, float, float]:
 
 def cmd_discover(args) -> int:
     cfg = load_run_config(args.config)
+    config = _gp_config(cfg, args.config)
     data = load_dataset(args.data, target=cfg["target"],
                         variables=cfg["variables"])
-    specs = [objective.default_monotonicity_spec(
-                data, item["var"], item["sign"],
-                domain=item["domain"], grid=item["grid"])
-             for item in cfg["monotonicity"]]
-    report = evolve.run_discovery(data, specs, _gp_config(cfg),
-                                  workers=args.workers)
+    try:
+        specs = [objective.default_monotonicity_spec(
+                    data, item["var"], item["sign"],
+                    domain=item["domain"], grid=item["grid"])
+                 for item in cfg["monotonicity"]]
+    except ValueError as exc:
+        raise ConfigError(f"{args.config}: {exc}") from None
+    report = evolve.run_discovery(data, specs, config, workers=args.workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
@@ -449,6 +457,16 @@ def cmd_curves(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coronakit",
@@ -459,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="CSV dataset path")
     p.add_argument("--config", required=True, help="run-configuration JSON path")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="parallel scoring workers (results identical to serial)")
     p.set_defaults(fn=cmd_discover)
 

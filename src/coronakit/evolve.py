@@ -5,15 +5,19 @@ unmodified, the other half is refreshed (fresh template draws, survivor
 crossover, mutation) and rescored.  All randomness flows from
 per-generation streams derived from the run seed, and scoring is
 rng-free, so results are identical in serial and parallel modes.
+
+Inside the loop a candidate is a tuple of (term, coefficient) pairs; an
+ExprGraph is assembled from it only for the report and the predictions.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
-from functools import partial
 
 import numpy as np
 
@@ -70,10 +74,23 @@ class GPConfig:
         return out
 
 
+#: a candidate: root terms with their coefficients, in root-edge order
+Candidate = tuple[tuple[exprgraph.TermFragment, float], ...]
+
+
 @dataclass
 class Individual:
-    graph: exprgraph.ExprGraph
+    terms: Candidate
     loss: objective.LossBreakdown | None = None
+
+    @property
+    def graph(self) -> exprgraph.ExprGraph:
+        """The candidate as an expression graph, assembled on demand."""
+        return exprgraph.from_terms(self.terms)
+
+    @property
+    def node_count(self) -> int:
+        return 1 + sum(len(term.nodes) for term, _ in self.terms)
 
     @property
     def scored(self) -> bool:
@@ -92,10 +109,11 @@ def sample_term(config: GPConfig, variables, rng) -> exprgraph.TermFragment:
                                      alphabet=config.exponent_alphabet)
 
 
-def random_graph(config: GPConfig, variables, rng) -> exprgraph.ExprGraph:
+def random_graph(config: GPConfig, variables, rng) -> Candidate:
+    """A fresh candidate of 1..max_terms template terms, coefficients 1."""
     n_terms = int(rng.integers(1, config.max_terms + 1))
-    terms = [(sample_term(config, variables, rng), 1.0) for _ in range(n_terms)]
-    return exprgraph.from_terms(terms)
+    return tuple((sample_term(config, variables, rng), 1.0)
+                 for _ in range(n_terms))
 
 
 def init_population(config: GPConfig, variables, rng) -> list[Individual]:
@@ -104,88 +122,90 @@ def init_population(config: GPConfig, variables, rng) -> list[Individual]:
             for _ in range(config.population_size)]
 
 
-def crossover(a: exprgraph.ExprGraph, b: exprgraph.ExprGraph, rng,
-              n_swap: int = 1) -> tuple[exprgraph.ExprGraph, exprgraph.ExprGraph]:
+def crossover(a: Candidate, b: Candidate, rng,
+              n_swap: int = 1) -> tuple[Candidate, Candidate]:
     """Swap root-level terms one-for-one; term counts are preserved.
 
     Structurally identical parents swap matching positions, so their
     crossover is an identity operation.
     """
-    terms_a = exprgraph.graph_terms(a)
-    terms_b = exprgraph.graph_terms(b)
+    terms_a, terms_b = list(a), list(b)
     k = min(n_swap, len(terms_a), len(terms_b))
     idx_a = rng.choice(len(terms_a), size=k, replace=False)
     idx_b = rng.choice(len(terms_b), size=k, replace=False)
-    if exprgraph.render(a) == exprgraph.render(b):
+    if exprgraph.render_terms(a) == exprgraph.render_terms(b):
         idx_b = idx_a
     for i, j in zip(idx_a, idx_b):
         terms_a[int(i)], terms_b[int(j)] = terms_b[int(j)], terms_a[int(i)]
-    return exprgraph.from_terms(terms_a), exprgraph.from_terms(terms_b)
+    return tuple(terms_a), tuple(terms_b)
 
 
-def _mutable_edges(graph: exprgraph.ExprGraph) -> list[exprgraph.Edge]:
-    """Inner features the edge mutation may touch: exponents, log bases and
-    inner additive signs.  Root coefficients are fitted, never mutated."""
+def _mutable_edges(terms: Candidate) -> list[tuple[int, exprgraph.Edge, str]]:
+    """Inner features the edge mutation may touch, as (term index, edge,
+    child kind): exponents, log bases and inner additive signs, in the
+    assembled graph's edge order.  Root coefficients are fitted, never
+    mutated."""
     out = []
-    for e in graph.edges:
-        child = graph.node(e.child)
-        if child.kind in (exprgraph.POW, exprgraph.LOG):
-            out.append(e)
-        elif graph.node(e.parent).kind == exprgraph.ADD and e.parent != graph.root:
-            out.append(e)
+    for index, (term, _) in enumerate(terms):
+        kinds = {n.id: n.kind for n in term.nodes}
+        for e in term.edges:
+            child = kinds[e.child]
+            if child in (exprgraph.POW, exprgraph.LOG) \
+                    or kinds[e.parent] == exprgraph.ADD:
+                out.append((index, e, child))
     return out
 
 
-def _with_edge_feature(graph: exprgraph.ExprGraph, target: exprgraph.Edge,
-                       feature: float) -> exprgraph.ExprGraph:
+def _with_edge_feature(terms: Candidate, index: int, target: exprgraph.Edge,
+                       feature: float) -> Candidate:
+    term, coef = terms[index]
     edges = [exprgraph.Edge(e.parent, e.child, feature) if e is target else e
-             for e in graph.edges]
-    return exprgraph.ExprGraph(graph.nodes, edges, graph.root)
+             for e in term.edges]
+    changed = exprgraph.TermFragment(term.nodes, edges, term.head)
+    return terms[:index] + ((changed, coef),) + terms[index + 1:]
 
 
-def mutate(graph: exprgraph.ExprGraph, config: GPConfig, variables,
-           rng) -> exprgraph.ExprGraph:
+def mutate(terms: Candidate, config: GPConfig, variables, rng) -> Candidate:
     """Apply exactly one mutation kind drawn from the configured rates."""
     rates = np.asarray(config.mutation_rates, dtype=float)
     kind = int(rng.choice(3, p=rates))
 
     if kind == 0:  # edge feature
-        candidates = _mutable_edges(graph)
+        candidates = _mutable_edges(terms)
         if not candidates:
             kind = 1  # nothing to perturb (e.g. lone constant term)
         else:
-            e = candidates[int(rng.integers(len(candidates)))]
-            child = graph.node(e.child)
-            if child.kind == exprgraph.POW:
+            index, e, child = candidates[int(rng.integers(len(candidates)))]
+            if child == exprgraph.POW:
                 alphabet = config.exponent_alphabet
                 feature = float(alphabet[int(rng.integers(len(alphabet)))])
-            elif child.kind == exprgraph.LOG:
+            elif child == exprgraph.LOG:
                 feature = exprgraph.LOG_BASES[1] \
                     if abs(e.feature - 10.0) < 1e-9 else exprgraph.LOG_BASES[0]
             else:
                 feature = -e.feature
-            return _with_edge_feature(graph, e, feature)
+            return _with_edge_feature(terms, index, e, feature)
 
     if kind == 1:  # replace one term with a fresh template instance
-        index = int(rng.integers(graph.term_count))
-        return exprgraph.replace_term(graph, index,
-                                      sample_term(config, variables, rng))
+        index = int(rng.integers(len(terms)))
+        fresh = (sample_term(config, variables, rng), 1.0)
+        return terms[:index] + (fresh,) + terms[index + 1:]
 
     # add/remove a term; infeasible direction falls back to the other
     add = bool(rng.random() < 0.5)
-    if add and graph.term_count >= config.max_terms:
+    if add and len(terms) >= config.max_terms:
         add = False
-    elif not add and graph.term_count <= 1:
+    elif not add and len(terms) <= 1:
         add = True
     if add:
-        return exprgraph.add_term(graph, sample_term(config, variables, rng))
-    index = int(rng.integers(graph.term_count))
-    return exprgraph.remove_term(graph, index)
+        return terms + ((sample_term(config, variables, rng), 1.0),)
+    index = int(rng.integers(len(terms)))
+    return terms[:index] + terms[index + 1:]
 
 
 def _rank_key(individual: Individual):
     total = individual.loss.total if individual.loss is not None else INF
-    return (total, individual.graph.node_count)
+    return (total, individual.node_count)
 
 
 def rank(population: list[Individual]) -> list[Individual]:
@@ -206,36 +226,61 @@ def select(scored: list[Individual], config: GPConfig, variables,
 # scoring
 # ---------------------------------------------------------------------------
 
-def _score_graph(graph, data, specs, lambda_mono):
-    return objective.score_candidate(graph, data, specs, lambda_mono)
+#: the scorer of a pool worker, set once by _init_worker
+_worker_scorer: objective.TermScorer | None = None
 
 
-def _score_population(population, data, specs, config: GPConfig,
-                      workers: int) -> None:
+def _init_worker(data, specs, lambda_mono) -> None:
+    global _worker_scorer
+    _worker_scorer = objective.TermScorer(data, specs, lambda_mono)
+
+
+def _score_in_worker(terms):
+    return _worker_scorer.score(terms)
+
+
+@contextmanager
+def _batch_scorer(data, specs, lambda_mono: float, workers: int):
+    """A function that scores a list of term tuples, for the whole run.
+
+    With ``workers`` > 1 it maps over one process pool created here, whose
+    workers each receive the data and specs once.  Workers are spawned, not
+    forked, because the parent may run BLAS threads.  Scoring is a pure
+    function of the terms, so every worker count gives the same results.
+    """
+    if workers <= 1:
+        scorer = objective.TermScorer(data, specs, lambda_mono)
+        yield lambda batch: [scorer.score(terms) for terms in batch]
+        return
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("spawn"),
+                             initializer=_init_worker,
+                             initargs=(data, specs, lambda_mono)) as pool:
+        def score(batch):
+            chunk = max(1, len(batch) // (4 * workers))
+            return list(pool.map(_score_in_worker, batch, chunksize=chunk))
+        yield score
+
+
+def _score_population(population, score, dedup: bool) -> None:
     """Fit and score every unscored individual, in place.
 
-    Scoring is a pure function of (graph, data, specs), so the parallel
-    path only maps it over the same ordered list seen by the serial path.
+    Rejected candidates keep their coefficients; with ``dedup`` every
+    individual whose rendering repeats a better-ranked one is rejected.
     """
     todo = [ind for ind in population if not ind.scored]
     if not todo:
         return
-    task = partial(_score_graph, data=data, specs=specs,
-                   lambda_mono=config.lambda_mono)
-    if workers > 1:
-        chunk = max(1, len(todo) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, [ind.graph for ind in todo],
-                                    chunksize=chunk))
-    else:
-        results = [task(ind.graph) for ind in todo]
-    for ind, (fitted, breakdown) in zip(todo, results):
-        ind.graph = fitted
+    results = score([tuple(term for term, _ in ind.terms) for ind in todo])
+    for ind, (coefs, breakdown) in zip(todo, results):
+        if coefs is not None:
+            ind.terms = tuple((term, coef)
+                              for (term, _), coef in zip(ind.terms, coefs))
         ind.loss = breakdown
-    if config.dedup:
+    if dedup:
         seen = set()
         for ind in rank(population):
-            key = exprgraph.render(ind.graph)
+            key = exprgraph.render_terms(ind.terms)
             if key in seen:
                 ind.loss = objective.LossBreakdown.rejected()
             else:
@@ -304,17 +349,17 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _equation_entry(rank_no: int, ind: Individual) -> dict:
-    loss = ind.loss
+def _equation_entry(rank_no: int, expression: str, ind: Individual) -> dict:
+    graph, loss = ind.graph, ind.loss
     return {
         "rank": rank_no,
-        "expression": exprgraph.render(ind.graph),
-        "terms": ind.graph.term_count,
+        "expression": expression,
+        "terms": graph.term_count,
         "r2": _json_num(loss.r2),
         "l_acc": _json_num(loss.l_acc),
         "l_mono": _json_num(loss.l_mono),
         "total": _json_num(loss.total),
-        "graph": ind.graph.to_dict(),
+        "graph": graph.to_dict(),
     }
 
 
@@ -334,15 +379,15 @@ def _next_generation(ranked: list[Individual], config: GPConfig, variables,
         if rng.random() < config.crossover_prob and survivors:
             i = int(rng.integers(len(survivors)))
             j = int(rng.integers(len(survivors)))
-            g1, g2 = crossover(survivors[i].graph, survivors[j].graph, rng,
+            t1, t2 = crossover(survivors[i].terms, survivors[j].terms, rng,
                                n_swap=config.crossover_terms)
-            offspring = [g1, g2][:len(pair)]
+            offspring = [t1, t2][:len(pair)]
         else:
-            offspring = [ind.graph for ind in pair]
-        for g in offspring:
+            offspring = [ind.terms for ind in pair]
+        for terms in offspring:
             if rng.random() < config.mutation_prob:
-                g = mutate(g, config, variables, rng)
-            varied.append(Individual(g))
+                terms = mutate(terms, config, variables, rng)
+            varied.append(Individual(terms))
         pos += 2
     return survivors + varied
 
@@ -369,25 +414,26 @@ def run_discovery(data: Dataset, specs, config: GPConfig,
 
     population = init_population(config, variables, rngs[0])
     trace: list[list[float]] = []
-    for gen in range(config.generations):
-        _score_population(population, data, specs, config, workers)
-        ranked = rank(population)
-        top5 = [ind.loss.total for ind in ranked[:5]]
-        top5 += [INF] * (5 - len(top5))
-        trace.append(top5)
-        if gen < config.generations - 1:
-            population = _next_generation(ranked, config, variables,
-                                          rngs[gen + 1])
+    with _batch_scorer(data, specs, config.lambda_mono, workers) as score:
+        for gen in range(config.generations):
+            _score_population(population, score, config.dedup)
+            ranked = rank(population)
+            top5 = [ind.loss.total for ind in ranked[:5]]
+            top5 += [INF] * (5 - len(top5))
+            trace.append(top5)
+            if gen < config.generations - 1:
+                population = _next_generation(ranked, config, variables,
+                                              rngs[gen + 1])
 
     ranked = rank(population)
     equations = []
     seen = set()
     for ind in ranked:
-        key = exprgraph.render(ind.graph)
-        if key in seen:
+        expression = exprgraph.render_terms(ind.terms)
+        if expression in seen:
             continue
-        seen.add(key)
-        equations.append(_equation_entry(len(equations) + 1, ind))
+        seen.add(expression)
+        equations.append(_equation_entry(len(equations) + 1, expression, ind))
         if len(equations) >= 10:
             break
 

@@ -163,13 +163,57 @@ class GraphBuilder:
         return TermFragment(self._nodes, self._edges, head)
 
 
-@dataclass
 class TermFragment:
-    """A standalone term subgraph with local node ids and a head node."""
+    """One root term: its nodes and edges in build order plus its head node.
 
-    nodes: list[Node]
-    edges: list[Edge]
-    head: int
+    Immutable by convention and hashable.  Terms compare by ``key``, their
+    structure with node ids replaced by build positions, so two equal terms
+    evaluate to bit-identical values and assemble into identical graphs.
+    """
+
+    __slots__ = ("nodes", "edges", "head", "_key", "_parts")
+
+    def __init__(self, nodes, edges, head: int):
+        self.nodes = tuple(nodes)
+        self.edges = tuple(edges)
+        self.head = head
+        self._key = None
+        self._parts = None
+
+    @property
+    def key(self) -> str:
+        """Compact structural key, computed on first use.  Names and
+        features are written as Python literals, so the text is
+        unambiguous."""
+        if self._key is None:
+            pos = {n.id: i for i, n in enumerate(self.nodes)}
+            self._key = " ".join(
+                [f"{n.kind}:{n.name!r}" for n in self.nodes]
+                + [f"{pos[e.parent]}>{pos[e.child]}:{e.feature!r}"
+                   for e in self.edges]
+                + [str(pos[self.head])])
+        return self._key
+
+    @property
+    def render_parts(self) -> tuple:
+        """What ``render`` shows of this term apart from its coefficient,
+        computed on first use."""
+        if self._parts is None:
+            graph = ExprGraph(self.nodes, self.edges, None)
+            self._parts = _term_parts(graph, Edge(None, self.head))
+        return self._parts
+
+    def __eq__(self, other):
+        return isinstance(other, TermFragment) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __reduce__(self):
+        return TermFragment, (self.nodes, self.edges, self.head)
+
+    def __repr__(self):
+        return f"TermFragment(nodes={self.nodes!r}, edges={self.edges!r}, head={self.head})"
 
 
 # ---------------------------------------------------------------------------
@@ -538,21 +582,38 @@ def _term_profile(graph: ExprGraph, edge: Edge):
     return rank, tuple(sorted(names)), tuple(sorted(exponents))
 
 
-def render(graph: ExprGraph) -> str:
-    """Canonical infix form: deterministic term order, 6-significant-digit
-    coefficients, identical strings for structurally equal graphs."""
+def _term_parts(graph: ExprGraph, edge: Edge) -> tuple:
+    """(kind rank, variable names, exponents, body) of the root term under
+    ``edge``: everything render shows of it apart from its coefficient."""
+    return (*_term_profile(graph, edge), _term_body(graph, edge))
+
+
+def _render_sum(terms) -> str:
+    """Join (render parts, coefficient) pairs in canonical term order."""
     entries = []
-    for e in graph.term_edges:
-        body = _term_body(graph, e)
-        rank, names, exps = _term_profile(graph, e)
-        text = _fmt_coef(e.feature) if not body else f"{_fmt_coef(e.feature)}*{body}"
-        entries.append(((rank, names, exps, body, e.feature), text))
+    for (rank, names, exps, body), coef in terms:
+        text = _fmt_coef(coef) if not body else f"{_fmt_coef(coef)}*{body}"
+        entries.append(((rank, names, exps, body, coef), text))
     entries.sort(key=lambda item: item[0])
     return " + ".join(text for _, text in entries)
 
 
+def render(graph: ExprGraph) -> str:
+    """Canonical infix form: deterministic term order, 6-significant-digit
+    coefficients, identical strings for structurally equal graphs."""
+    return _render_sum((_term_parts(graph, e), e.feature)
+                       for e in graph.term_edges)
+
+
+def render_terms(terms) -> str:
+    """``render(from_terms(terms))`` for (fragment, coefficient) pairs,
+    without assembling the graph.  Holds for every term ``validate``
+    accepts under a root: one whose head is not a pow or log node."""
+    return _render_sum((term.render_parts, coef) for term, coef in terms)
+
+
 # ---------------------------------------------------------------------------
-# graph surgery (terms as units)
+# root terms as standalone fragments
 # ---------------------------------------------------------------------------
 
 def extract_term(graph: ExprGraph, index: int) -> tuple[TermFragment, float]:
@@ -583,23 +644,6 @@ def from_terms(terms: list[tuple[TermFragment, float]]) -> ExprGraph:
 
 def graph_terms(graph: ExprGraph) -> list[tuple[TermFragment, float]]:
     return [extract_term(graph, i) for i in range(graph.term_count)]
-
-
-def replace_term(graph: ExprGraph, index: int, fragment: TermFragment,
-                 coef: float = 1.0) -> ExprGraph:
-    terms = graph_terms(graph)
-    terms[index] = (fragment, coef)
-    return from_terms(terms)
-
-
-def add_term(graph: ExprGraph, fragment: TermFragment, coef: float = 1.0) -> ExprGraph:
-    return from_terms(graph_terms(graph) + [(fragment, coef)])
-
-
-def remove_term(graph: ExprGraph, index: int) -> ExprGraph:
-    terms = graph_terms(graph)
-    del terms[index]
-    return from_terms(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,40 @@ class TestDiscover:
         assert "sparsity" in capsys.readouterr().err
 
 
+    def discover_exit(self, tmp_path, data=None, workers="1", **config):
+        data = data or write_eq8_csv(tmp_path / "data.csv")
+        path = write_config(tmp_path / "config.json", **config)
+        return cli.main(["discover", "--data", str(data), "--config",
+                         str(path), "--out", str(tmp_path / "out"),
+                         "--workers", workers])
+
+    def test_odd_population_is_an_input_error(self, tmp_path, capsys):
+        assert self.discover_exit(tmp_path, population_size=25) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_mutation_rates_must_sum_to_one(self, tmp_path, capsys):
+        assert self.discover_exit(tmp_path, mutation_rates=[0.5, 0.5, 0.5]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_no_default_domain_for_negative_variable(self, tmp_path, capsys):
+        data = tmp_path / "neg.csv"
+        data.write_text("E,n,d,y\n-12,4,2,1\n-14,6,2.4,2\n-16,8,3,4\n",
+                        encoding="utf-8")
+        code = self.discover_exit(tmp_path, data=data,
+                                  monotonicity=[{"var": "E", "sign": "+1"}])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "'E'" in err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_must_be_positive(self, tmp_path, capsys, workers):
+        with pytest.raises(SystemExit) as exc:
+            self.discover_exit(tmp_path, workers=workers)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestEval:
     def test_ri_model_spot(self, capsys):
         assert cli.main(["eval", "--model", "ri-cispr", "--E", "20",

@@ -20,7 +20,7 @@ from coronakit.evolve import (
 )
 from coronakit.objective import LossBreakdown
 
-from helpers import graph_of, power_fragment
+from helpers import power_fragment
 
 VARS = ["E", "n", "d"]
 
@@ -33,10 +33,18 @@ def eq8_dataset():
     return Dataset(columns={"E": E, "n": n, "d": d, "y": y}, target="y")
 
 
+def candidate(*terms):
+    """A candidate's term tuple from (coefficient, fragment) pairs."""
+    return tuple((frag, coef) for coef, frag in terms)
+
+
+as_graph = exprgraph.from_terms
+
+
 def scored(total, n_terms=1):
-    g = graph_of(*[(1.0, power_fragment(("x", 1))) for _ in range(n_terms)])
-    return Individual(g, LossBreakdown(l_acc=total, l_mono=0.0, total=total,
-                                       r2=1.0 - total))
+    terms = candidate(*[(1.0, power_fragment(("x", 1))) for _ in range(n_terms)])
+    return Individual(terms, LossBreakdown(l_acc=total, l_mono=0.0, total=total,
+                                           r2=1.0 - total))
 
 
 class TestConfig:
@@ -81,7 +89,7 @@ class TestInitPopulation:
         rng = np.random.default_rng(9)
         found = {"const": False, "log": False, "rational": False, "poly": False}
         for _ in range(10_000):
-            g = random_graph(cfg, VARS, rng)
+            g = as_graph(random_graph(cfg, VARS, rng))
             for e in g.term_edges:
                 frag, _ = exprgraph.extract_term(g, g.term_edges.index(e))
                 kinds = {n.kind for n in frag.nodes}
@@ -107,12 +115,13 @@ class TestCrossover:
                       for t in exprgraph.graph_terms(g))
 
     def test_one_for_one_swap(self):
-        a = graph_of((1.0, power_fragment(("E", 1))),
-                     (2.0, power_fragment(("n", 2))))
-        b = graph_of((3.0, power_fragment(("d", 3))),
-                     (4.0, power_fragment(("E", -1))))
+        a = candidate((1.0, power_fragment(("E", 1))),
+                      (2.0, power_fragment(("n", 2))))
+        b = candidate((3.0, power_fragment(("d", 3))),
+                      (4.0, power_fragment(("E", -1))))
         rng = np.random.default_rng(0)
-        c1, c2 = crossover(a, b, rng)
+        c1, c2 = map(as_graph, crossover(a, b, rng))
+        a, b = as_graph(a), as_graph(b)
         assert exprgraph.validate(c1) == [] and exprgraph.validate(c2) == []
         assert c1.term_count == 2 and c2.term_count == 2
         # union of terms preserved, exactly one exchanged each way
@@ -121,37 +130,38 @@ class TestCrossover:
         assert len(set(self.term_renders(c1)) & set(self.term_renders(b))) == 1
 
     def test_identical_parents_fixed_point(self):
-        a = graph_of((1.0, power_fragment(("E", 1))),
-                     (2.0, power_fragment(("n", 2))))
-        c1, c2 = crossover(a, a, np.random.default_rng(3))
-        assert exprgraph.render(c1) == exprgraph.render(a)
-        assert exprgraph.render(c2) == exprgraph.render(a)
+        a = candidate((1.0, power_fragment(("E", 1))),
+                      (2.0, power_fragment(("n", 2))))
+        c1, c2 = map(as_graph, crossover(a, a, np.random.default_rng(3)))
+        assert exprgraph.render(c1) == exprgraph.render(as_graph(a))
+        assert exprgraph.render(c2) == exprgraph.render(as_graph(a))
 
     def test_term_counts_preserved(self):
         rng = np.random.default_rng(1)
         cfg = GPConfig(max_terms=5)
-        a = exprgraph.from_terms(
-            [(exprgraph.sample_template("poly", VARS, rng), 1.0) for _ in range(3)])
-        b = exprgraph.from_terms(
-            [(exprgraph.sample_template("poly", VARS, rng), 1.0) for _ in range(5)])
-        c1, c2 = crossover(a, b, rng)
+        a = tuple((exprgraph.sample_template("poly", VARS, rng), 1.0)
+                  for _ in range(3))
+        b = tuple((exprgraph.sample_template("poly", VARS, rng), 1.0)
+                  for _ in range(5))
+        c1, c2 = map(as_graph, crossover(a, b, rng))
         assert (c1.term_count, c2.term_count) == (3, 5)
 
     def test_parents_unmodified(self):
-        a = graph_of((1.0, power_fragment(("E", 1))))
-        b = graph_of((2.0, power_fragment(("n", 1))))
-        before = (exprgraph.render(a), exprgraph.render(b))
+        a = candidate((1.0, power_fragment(("E", 1))))
+        b = candidate((2.0, power_fragment(("n", 1))))
+        before = (exprgraph.render(as_graph(a)), exprgraph.render(as_graph(b)))
         crossover(a, b, np.random.default_rng(2))
-        assert (exprgraph.render(a), exprgraph.render(b)) == before
+        assert (exprgraph.render(as_graph(a)),
+                exprgraph.render(as_graph(b))) == before
 
 
 class TestMutate:
     def test_edge_feature_mutation(self):
         cfg = GPConfig(mutation_rates=(1.0, 0.0, 0.0), max_terms=4)
-        g = graph_of((2.0, power_fragment(("x", 2))))
+        g = candidate((2.0, power_fragment(("x", 2))))
         rng = np.random.default_rng(0)
         for _ in range(50):
-            out = mutate(g, cfg, ["x"], rng)
+            out = as_graph(mutate(g, cfg, ["x"], rng))
             assert exprgraph.validate(out, max_terms=4) == []
             assert out.term_count == 1
             (pow_edge,) = [e for e in out.edges
@@ -162,14 +172,15 @@ class TestMutate:
         from helpers import log_fragment
 
         cfg = GPConfig(mutation_rates=(1.0, 0.0, 0.0))
-        g = graph_of((1.0, log_fragment(10.0, ("x", 1))))
+        g = candidate((1.0, log_fragment(10.0, ("x", 1))))
         rng = np.random.default_rng(0)
         seen = set()
         current = g
         for _ in range(4):
             current = mutate(current, cfg, ["x"], rng)
-            (log_edge,) = [e for e in current.edges
-                           if current.node(e.child).kind == exprgraph.LOG]
+            graph = as_graph(current)
+            (log_edge,) = [e for e in graph.edges
+                           if graph.node(e.child).kind == exprgraph.LOG]
             seen.add(round(log_edge.feature, 6))
         assert seen == {10.0, round(math.e, 6)}
 
@@ -179,32 +190,32 @@ class TestMutate:
         g = random_graph(GPConfig(max_terms=3, seed=0), VARS,
                          np.random.default_rng(7))
         for _ in range(20):
-            out = mutate(g, cfg, VARS, rng)
-            assert out.term_count == g.term_count
+            out = as_graph(mutate(g, cfg, VARS, rng))
+            assert out.term_count == as_graph(g).term_count
             assert exprgraph.validate(out, max_terms=4) == []
 
     def test_add_at_limit_removes_instead(self):
         cfg = GPConfig(mutation_rates=(0.0, 0.0, 1.0), max_terms=3)
         rng = np.random.default_rng(2)
-        g = graph_of(*[(1.0, power_fragment(("E", 1))) for _ in range(3)])
+        g = candidate(*[(1.0, power_fragment(("E", 1))) for _ in range(3)])
         for _ in range(20):
-            out = mutate(g, cfg, VARS, rng)
+            out = as_graph(mutate(g, cfg, VARS, rng))
             assert out.term_count == 2  # both branches degrade to removal
 
     def test_remove_on_single_term_adds_instead(self):
         cfg = GPConfig(mutation_rates=(0.0, 0.0, 1.0), max_terms=3)
         rng = np.random.default_rng(3)
-        g = graph_of((1.0, power_fragment(("E", 1))))
+        g = candidate((1.0, power_fragment(("E", 1))))
         for _ in range(20):
-            out = mutate(g, cfg, VARS, rng)
+            out = as_graph(mutate(g, cfg, VARS, rng))
             assert out.term_count == 2
 
     def test_constant_only_graph_falls_back_to_replace(self):
         from helpers import const_fragment
 
         cfg = GPConfig(mutation_rates=(1.0, 0.0, 0.0), max_terms=3)
-        g = graph_of((2.0, const_fragment()))
-        out = mutate(g, cfg, VARS, np.random.default_rng(4))
+        g = candidate((2.0, const_fragment()))
+        out = as_graph(mutate(g, cfg, VARS, np.random.default_rng(4)))
         assert exprgraph.validate(out, max_terms=3) == []
         assert out.term_count == 1
 
@@ -250,8 +261,9 @@ class TestClosure:
                 i = int(rng.integers(len(pool)))
                 j = int(rng.integers(len(pool)))
                 g, _ = crossover(pool[i], pool[j], rng)
-            assert exprgraph.validate(g, max_terms=cfg.max_terms) == []
-            assert 1 <= g.term_count <= cfg.max_terms
+            graph = as_graph(g)
+            assert exprgraph.validate(graph, max_terms=cfg.max_terms) == []
+            assert 1 <= graph.term_count <= cfg.max_terms
             pool[int(rng.integers(len(pool)))] = g
 
 
@@ -311,10 +323,11 @@ class TestRunDiscovery:
         data = eq8_dataset()
         cfg = GPConfig(population_size=4, generations=1, max_terms=2, seed=0,
                        dedup=True)
-        pop = [Individual(graph_of((1.0, power_fragment(("E", 1))))),
-               Individual(graph_of((1.0, power_fragment(("E", 1))))),
-               Individual(graph_of((1.0, power_fragment(("n", 1)))))]
-        evolve._score_population(pop, data, [], cfg, workers=1)
+        pop = [Individual(candidate((1.0, power_fragment(("E", 1))))),
+               Individual(candidate((1.0, power_fragment(("E", 1))))),
+               Individual(candidate((1.0, power_fragment(("n", 1)))))]
+        with evolve._batch_scorer(data, [], cfg.lambda_mono, 1) as score:
+            evolve._score_population(pop, score, cfg.dedup)
         totals = sorted(i.loss.total for i in pop)
         assert math.isfinite(totals[0]) and math.isfinite(totals[1])
         assert math.isinf(totals[2])  # the duplicate render

@@ -186,6 +186,15 @@ class TestRender:
         g = graph_of((1.5, power_fragment(("x", 1))))
         assert render(g) == "1.50000*x"
 
+    def test_term_tuples_render_as_their_graph(self):
+        rng = np.random.default_rng(17)
+        for _ in range(2000):
+            kinds = rng.choice(exprgraph.TEMPLATE_KINDS, size=rng.integers(1, 5))
+            terms = [(sample_template(str(k), ["E", "n", "d"], rng),
+                      float(rng.normal(scale=100.0))) for k in kinds]
+            assert exprgraph.render_terms(terms) \
+                == render(exprgraph.from_terms(terms))
+
 
 class TestSerialization:
     def test_round_trip_identity(self):

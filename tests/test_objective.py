@@ -142,7 +142,8 @@ class TestMonotonicityLoss:
 
     def test_constant_term_leaves_penalty_unchanged(self):
         g = line_graph(-1.0)
-        with_const = exprgraph.add_term(g, const_fragment(), 42.0)
+        with_const = exprgraph.from_terms(
+            exprgraph.graph_terms(g) + [(const_fragment(), 42.0)])
         specs = [self.spec(+1)]
         assert monotonicity_loss(with_const, specs) \
             == pytest.approx(monotonicity_loss(g, specs), abs=1e-12)
@@ -204,6 +205,92 @@ class TestTotalLoss:
         g = graph_of((1.0, power_fragment(("x", 1))))
         with pytest.raises(ValueError):
             total_loss(g, data, [], 0.0)
+
+
+def reference_breakdown(graph, data, specs, lambda_mono):
+    """The loss as computed before the column core: a least-squares fit of
+    term_values, then every spec swept through evaluate_batch."""
+    matrix, row_ok = exprgraph.term_values(graph, data)
+    if not row_ok.all():
+        return LossBreakdown.rejected()
+    coefs = np.linalg.lstsq(matrix, data.y, rcond=None)[0]
+    r2 = r_squared(data.y, matrix @ coefs)
+    fitted = exprgraph.with_coefficients(graph, coefs)
+    l_mono = 0.0
+    for spec in specs:
+        env = {spec.variable: np.linspace(*spec.domain, spec.grid)}
+        env.update({k: np.full(spec.grid, v) for k, v in spec.nominal.items()})
+        values, finite = exprgraph.evaluate_batch(fitted, env)
+        if not finite.all():
+            return LossBreakdown(l_acc=1.0 - r2, l_mono=math.inf,
+                                 total=math.inf, r2=r2)
+        l_mono += float(np.sum(np.maximum(0.0, -spec.sign * np.diff(values)) ** 2))
+    return LossBreakdown(l_acc=1.0 - r2, l_mono=l_mono,
+                         total=(1.0 - r2) + lambda_mono * l_mono, r2=r2)
+
+
+EDGE_CANDIDATES = {
+    # lstsq takes the minimum-norm split of the mean; the sweep is flat
+    "constants only": (graph_of((1.0, const_fragment()), (2.0, const_fragment())),
+                       (1.0, 6.0)),
+    # finite on the data, x^3 overflows to inf on the sweep
+    "sweep overflows": (graph_of((1.0, power_fragment(("x", 3))),
+                                 (1.0, const_fragment())), (1.0, 1e150)),
+    # 1/x is non-finite on the x = 0 data row: rejected before the sweep
+    "non-finite data row": (graph_of((1.0, power_fragment(("x", -1))),
+                                     (1.0, const_fragment())), (1.0, 6.0)),
+}
+
+
+class TestTermScorer:
+    def data(self):
+        x = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 4.0])
+        return make_dataset(x=x, y=x ** 2 - x + 1.0)
+
+    def spec(self, domain):
+        return MonotonicitySpec(variable="x", sign=+1, domain=domain, grid=10,
+                                nominal={})
+
+    @pytest.mark.parametrize("name", sorted(EDGE_CANDIDATES))
+    def test_edge_candidates_match_score_candidate(self, name):
+        graph, domain = EDGE_CANDIDATES[name]
+        data = self.data()
+        if name != "non-finite data row":
+            data = make_dataset(x=data.columns["x"][1:], y=data.y[1:])
+        specs = [self.spec(domain), self.spec((0.5, 2.0))]
+        terms = [term for term, _ in exprgraph.graph_terms(graph)]
+        fitted, want = score_candidate(graph, data, specs, 0.01)
+        assert want == reference_breakdown(graph, data, specs, 0.01)
+        scorer = objective.TermScorer(data, specs, 0.01)
+        for _ in range(2):  # a cache miss, then a hit
+            coefs, got = scorer.score(terms)
+            assert got == want
+            if coefs is None:
+                assert math.isinf(got.total) and fitted is graph
+            else:
+                assert coefs == exprgraph.coefficients(fitted)
+
+    def test_one_column_budget_changes_no_score(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        x = rng.uniform(1.0, 4.0, 30)
+        z = rng.uniform(1.0, 2.0, 30)
+        data = make_dataset(x=x, z=z, y=x ** 2 + np.log(z))
+        specs = [default_monotonicity_spec(data, "x", +1),
+                 default_monotonicity_spec(data, "z", -1)]
+        candidates = [
+            [exprgraph.sample_template(kind, ["x", "z"], rng)
+             for kind in ("poly", "log", "rational", "const")]
+            for _ in range(6)]
+        candidates += candidates[::-1]  # revisit every term after eviction
+        roomy = objective.TermScorer(data, specs, 0.01)
+        want = [roomy.score(terms) for terms in candidates]
+        stacked_rows = 30 + sum(spec.grid for spec in specs)
+        monkeypatch.setattr(objective, "COLUMN_CACHE_BYTES", 8 * stacked_rows)
+        tight = objective.TermScorer(data, specs, 0.01)
+        for terms, expected in zip(candidates, want):
+            assert tight.score(terms) == expected
+            assert len(tight._slots) == 1
+        assert len(roomy._slots) == len({t for c in candidates for t in c})
 
 
 class TestDefaultSpec:
