@@ -47,6 +47,14 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _finite(value) -> bool:
+    """Whether a parsed JSON value is a number that is finite as a float."""
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def load_run_config(path) -> dict:
     """Parse and schema-validate a run-configuration JSON file."""
     try:
@@ -82,8 +90,8 @@ def load_run_config(path) -> dict:
                  f"{path}: {key!r} must be an integer")
         cfg[key] = value
     lam = raw.get("lambda_mono", 0.01)
-    _require(isinstance(lam, (int, float)) and lam > 0,
-             f"{path}: 'lambda_mono' must be a positive number")
+    _require(_finite(lam) and lam > 0,
+             f"{path}: 'lambda_mono' must be a positive finite number")
     cfg["lambda_mono"] = float(lam)
 
     exponent_range = raw.get("exponent_range", [-3, 3])
@@ -102,8 +110,8 @@ def load_run_config(path) -> dict:
                  f"{path}: 'mutation_rates' keys must be {_RATE_NAMES}")
         rates = [rates[name] for name in _RATE_NAMES]
     _require(isinstance(rates, list) and len(rates) == 3
-             and all(isinstance(v, (int, float)) for v in rates),
-             f"{path}: 'mutation_rates' must be three numbers")
+             and all(_finite(v) for v in rates),
+             f"{path}: 'mutation_rates' must be three finite numbers")
     cfg["mutation_rates"] = tuple(float(v) for v in rates)
 
     weights = raw.get("template_weights", [0.35, 0.25, 0.25, 0.15])
@@ -112,8 +120,8 @@ def load_run_config(path) -> dict:
                  f"{path}: 'template_weights' keys must be {_WEIGHT_NAMES}")
         weights = [weights[name] for name in _WEIGHT_NAMES]
     _require(isinstance(weights, list) and len(weights) == 4
-             and all(isinstance(v, (int, float)) for v in weights),
-             f"{path}: 'template_weights' must be four numbers")
+             and all(_finite(v) for v in weights),
+             f"{path}: 'template_weights' must be four finite numbers")
     weights = [float(v) for v in weights]
     if not cfg["use_log"]:
         weights[2] = 0.0
@@ -133,9 +141,9 @@ def load_run_config(path) -> dict:
         domain = item.get("domain")
         if domain is not None:
             _require(isinstance(domain, list) and len(domain) == 2
-                     and all(isinstance(v, (int, float)) for v in domain)
+                     and all(_finite(v) for v in domain)
                      and domain[0] < domain[1],
-                     f"{path}: monotonicity domain must be [lo, hi]")
+                     f"{path}: monotonicity domain must be finite [lo, hi]")
             domain = (float(domain[0]), float(domain[1]))
         grid = item.get("grid", objective.DEFAULT_GRID)
         _require(isinstance(grid, int) and grid >= 2,
@@ -192,11 +200,11 @@ def load_geometry(path) -> tuple[propagation.LineGeometry, float, float]:
         fail("'phases' must be a non-empty list")
     mic = raw.get("mic", {})
     if not isinstance(mic, dict) or set(mic) - _MIC_KEYS \
-            or any(not isinstance(v, (int, float)) for v in mic.values()):
-        fail("'mic' must be an object with numeric keys x, h")
+            or not all(_finite(v) for v in mic.values()):
+        fail("'mic' must be an object with finite numeric keys x, h")
     for key in ("f_ri", "rho"):
-        if key in raw and not isinstance(raw[key], (int, float)):
-            fail(f"{key!r} must be a number")
+        if key in raw and not _finite(raw[key]):
+            fail(f"{key!r} must be a finite number")
 
     phases = []
     for i, item in enumerate(raw["phases"]):
@@ -209,8 +217,8 @@ def load_geometry(path) -> tuple[propagation.LineGeometry, float, float]:
         if missing:
             fail(f"phase {i}: missing keys {sorted(missing)}")
         for key in item:
-            if not isinstance(item[key], (int, float)):
-                fail(f"phase {i}: {key!r} must be a number")
+            if not _finite(item[key]):
+                fail(f"phase {i}: {key!r} must be a finite number")
         try:
             bundle = models.BundleConfig(E=float(item["E"]), n=float(item["n"]),
                                          d=float(item["d"]))
@@ -239,6 +247,9 @@ def load_geometry(path) -> tuple[propagation.LineGeometry, float, float]:
 # ---------------------------------------------------------------------------
 
 def cmd_discover(args) -> int:
+    if args.workers > 1:
+        print("warning: --workers is deprecated and has no effect; "
+              "the search runs serially", file=sys.stderr)
     cfg = load_run_config(args.config)
     config = _gp_config(cfg, args.config)
     data = load_dataset(args.data, target=cfg["target"],
@@ -250,7 +261,7 @@ def cmd_discover(args) -> int:
                  for item in cfg["monotonicity"]]
     except ValueError as exc:
         raise ConfigError(f"{args.config}: {exc}") from None
-    report = evolve.run_discovery(data, specs, config, workers=args.workers)
+    report = evolve.run_discovery(data, specs, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
@@ -478,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="run-configuration JSON path")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="parallel scoring workers (results identical to serial)")
+                   help="deprecated and ignored: the search runs serially")
     p.set_defaults(fn=cmd_discover)
 
     p = sub.add_parser("eval", help="evaluate a catalogued model or saved formula")

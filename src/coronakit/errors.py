@@ -49,7 +49,7 @@ class DegenerateTargetError(CoronaKitError):
     """All target values are equal: R-squared is undefined."""
 
 
-class EmptyDatasetError(CoronaKitError):
+class EmptyDatasetError(InputError):
     """Dataset has no rows."""
 
 

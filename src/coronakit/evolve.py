@@ -4,7 +4,7 @@ retain-then-vary loop: the best half of each scored generation survives
 unmodified, the other half is refreshed (fresh template draws, survivor
 crossover, mutation) and rescored.  All randomness flows from
 per-generation streams derived from the run seed, and scoring is
-rng-free, so results are identical in serial and parallel modes.
+rng-free, so a run is a pure function of its inputs and seed.
 
 Inside the loop a candidate is a tuple of (term, coefficient) pairs; an
 ExprGraph is assembled from it only for the report and the predictions.
@@ -14,9 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -50,21 +47,25 @@ class GPConfig:
             raise ValueError("generations must be >= 1")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
-        if self.lambda_mono <= 0:
-            raise ValueError("lambda_mono must be positive")
+        if not 0 < self.lambda_mono < INF:
+            raise ValueError("lambda_mono must be positive and finite")
         rates = self.mutation_rates
         if len(rates) != 3 or any(r < 0 for r in rates) \
-                or abs(sum(rates) - 1.0) > 1e-9:
+                or not abs(sum(rates) - 1.0) <= 1e-9:
             raise ValueError("mutation_rates must be 3 nonnegative values summing to 1")
         if not self.exponent_alphabet or 0 in self.exponent_alphabet:
             raise ValueError("exponent alphabet must be non-empty and exclude 0")
-        if len(self.template_weights) != 4 or any(w < 0 for w in self.template_weights) \
-                or sum(self.template_weights) <= 0:
-            raise ValueError("template_weights must be 4 nonnegative values")
+        weights = self.template_weights
+        if len(weights) != 4 or any(w < 0 for w in weights) \
+                or not 0 < sum(weights) < INF:
+            raise ValueError("template_weights must be 4 nonnegative values "
+                             "with a positive, finite sum")
         if not 0 <= self.mutation_prob <= 1 or not 0 <= self.crossover_prob <= 1:
             raise ValueError("probabilities must lie in [0, 1]")
         if self.crossover_terms < 1:
             raise ValueError("crossover_terms must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -226,53 +227,17 @@ def select(scored: list[Individual], config: GPConfig, variables,
 # scoring
 # ---------------------------------------------------------------------------
 
-#: the scorer of a pool worker, set once by _init_worker
-_worker_scorer: objective.TermScorer | None = None
-
-
-def _init_worker(data, specs, lambda_mono) -> None:
-    global _worker_scorer
-    _worker_scorer = objective.TermScorer(data, specs, lambda_mono)
-
-
-def _score_in_worker(terms):
-    return _worker_scorer.score(terms)
-
-
-@contextmanager
-def _batch_scorer(data, specs, lambda_mono: float, workers: int):
-    """A function that scores a list of term tuples, for the whole run.
-
-    With ``workers`` > 1 it maps over one process pool created here, whose
-    workers each receive the data and specs once.  Workers are spawned, not
-    forked, because the parent may run BLAS threads.  Scoring is a pure
-    function of the terms, so every worker count gives the same results.
-    """
-    if workers <= 1:
-        scorer = objective.TermScorer(data, specs, lambda_mono)
-        yield lambda batch: [scorer.score(terms) for terms in batch]
-        return
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=multiprocessing.get_context("spawn"),
-                             initializer=_init_worker,
-                             initargs=(data, specs, lambda_mono)) as pool:
-        def score(batch):
-            chunk = max(1, len(batch) // (4 * workers))
-            return list(pool.map(_score_in_worker, batch, chunksize=chunk))
-        yield score
-
-
-def _score_population(population, score, dedup: bool) -> None:
+def _score_population(population, scorer: objective.TermScorer,
+                      dedup: bool) -> None:
     """Fit and score every unscored individual, in place.
 
     Rejected candidates keep their coefficients; with ``dedup`` every
     individual whose rendering repeats a better-ranked one is rejected.
     """
-    todo = [ind for ind in population if not ind.scored]
-    if not todo:
-        return
-    results = score([tuple(term for term, _ in ind.terms) for ind in todo])
-    for ind, (coefs, breakdown) in zip(todo, results):
+    for ind in population:
+        if ind.scored:
+            continue
+        coefs, breakdown = scorer.score(tuple(term for term, _ in ind.terms))
         if coefs is not None:
             ind.terms = tuple((term, coef)
                               for (term, _), coef in zip(ind.terms, coefs))
@@ -392,13 +357,12 @@ def _next_generation(ranked: list[Individual], config: GPConfig, variables,
     return survivors + varied
 
 
-def run_discovery(data: Dataset, specs, config: GPConfig,
-                  workers: int = 1) -> RunReport:
+def run_discovery(data: Dataset, specs, config: GPConfig) -> RunReport:
     """Full search: init -> [score -> select -> vary] x generations.
 
-    Deterministic for a fixed seed, independent of worker count; the
-    returned report carries the ranked final equations, the per-generation
-    top-5 loss trace and the best equation's training-set predictions.
+    Deterministic for a fixed seed; the returned report carries the ranked
+    final equations, the per-generation top-5 loss trace and the best
+    equation's training-set predictions.
     """
     config.validate()
     if data.n_rows == 0:
@@ -414,16 +378,16 @@ def run_discovery(data: Dataset, specs, config: GPConfig,
 
     population = init_population(config, variables, rngs[0])
     trace: list[list[float]] = []
-    with _batch_scorer(data, specs, config.lambda_mono, workers) as score:
-        for gen in range(config.generations):
-            _score_population(population, score, config.dedup)
-            ranked = rank(population)
-            top5 = [ind.loss.total for ind in ranked[:5]]
-            top5 += [INF] * (5 - len(top5))
-            trace.append(top5)
-            if gen < config.generations - 1:
-                population = _next_generation(ranked, config, variables,
-                                              rngs[gen + 1])
+    scorer = objective.TermScorer(data, specs, config.lambda_mono)
+    for gen in range(config.generations):
+        _score_population(population, scorer, config.dedup)
+        ranked = rank(population)
+        top5 = [ind.loss.total for ind in ranked[:5]]
+        top5 += [INF] * (5 - len(top5))
+        trace.append(top5)
+        if gen < config.generations - 1:
+            population = _next_generation(ranked, config, variables,
+                                          rngs[gen + 1])
 
     ranked = rank(population)
     equations = []

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +67,7 @@ class ExprGraph:
     """Immutable-by-convention expression graph.
 
     Mutating operations live elsewhere and always return new graphs;
-    evaluation and rendering are pure, so graphs are safe to share across
-    workers.
+    evaluation and rendering are pure, so graphs are safe to share.
     """
 
     __slots__ = ("nodes", "edges", "root", "_by_id", "_children")
@@ -208,9 +208,6 @@ class TermFragment:
 
     def __hash__(self):
         return hash(self.key)
-
-    def __reduce__(self):
-        return TermFragment, (self.nodes, self.edges, self.head)
 
     def __repr__(self):
         return f"TermFragment(nodes={self.nodes!r}, edges={self.edges!r}, head={self.head})"
@@ -489,18 +486,20 @@ def _render_factor(graph: ExprGraph, edge: Edge) -> str:
     child = graph.node(edge.child)
     if child.kind == POW:
         inner = graph.children(edge.child)[0]
-        base = _render_operand(graph, inner)
+        base = render_operand(graph, inner)
         if edge.feature == 1.0:
             return base
         return f"{base}^{_fmt_exp(edge.feature)}"
     if child.kind == LOG:
         inner = graph.children(edge.child)[0]
         fn = "log10" if _is_log_base_10(edge.feature) else "ln"
-        return f"{fn}({_render_operand(graph, inner, bare=True)})"
-    return _render_operand(graph, edge)
+        return f"{fn}({render_operand(graph, inner, bare=True)})"
+    return render_operand(graph, edge)
 
 
-def _render_operand(graph: ExprGraph, edge: Edge, bare: bool = False) -> str:
+def render_operand(graph: ExprGraph, edge: Edge, bare: bool = False) -> str:
+    """Render the operand under ``edge``; ``bare`` drops the parentheses
+    around a product."""
     child = graph.node(edge.child)
     if child.kind == POW or child.kind == LOG:
         return _render_factor(graph, edge)
@@ -530,7 +529,7 @@ def _render_add(graph: ExprGraph, nid: int) -> str:
         elif child.kind == CONST:
             parts.append(_fmt_exp(e.feature))
         else:
-            body = _render_operand(graph, e, bare=True)
+            body = render_operand(graph, e, bare=True)
             if e.feature == 1.0:
                 parts.append(body)
             elif e.feature == -1.0:
@@ -546,7 +545,7 @@ def _term_body(graph: ExprGraph, edge: Edge) -> str:
         return ""
     if child.kind == MUL:
         return _render_mul(graph, edge.child)
-    return _render_operand(graph, edge, bare=True)
+    return render_operand(graph, edge, bare=True)
 
 
 def _term_profile(graph: ExprGraph, edge: Edge):
@@ -610,6 +609,115 @@ def render_terms(terms) -> str:
     without assembling the graph.  Holds for every term ``validate``
     accepts under a root: one whose head is not a pow or log node."""
     return _render_sum((term.render_parts, coef) for term, coef in terms)
+
+
+# ---------------------------------------------------------------------------
+# parsing
+# ---------------------------------------------------------------------------
+
+_NUMBER = r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_PLUS = r"\s*\+\s*"
+
+
+class _Parser:
+    """Recursive descent over the grammar that ``render`` emits:
+
+        sum     := part (' + ' part)*
+        part    := number | number '*' product           (root terms)
+                 | ['-' | number '*'] product            (inner sums too)
+        product := factor ('*' factor)*
+        factor  := name ['^' number] | '(' sum ')' ['^' number]
+                 | ('log10' | 'ln') '(' product ')' ['^' number]
+
+    It builds the nodes that ``sample_template`` builds: a product is a mul
+    node, a name a pow node over a var node, a parenthesised sum a pow node
+    over an add node, and a bare number a const node under its coefficient.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.builder = GraphBuilder()
+
+    def take(self, pattern: str, expected: str | None = None) -> str | None:
+        """Consume ``pattern`` (a regex) at the current position; without
+        a match, return None or, if ``expected`` is given, fail."""
+        match = re.compile(pattern).match(self.text, self.pos)
+        if match is not None:
+            self.pos = match.end()
+            return match.group()
+        if expected is not None:
+            found = self.text[self.pos:self.pos + 10] or "end of text"
+            raise ValueError(f"expected {expected} at position {self.pos} "
+                             f"of {self.text!r}, found {found!r}")
+        return None
+
+    def sum(self, add: int, root: bool) -> None:
+        b = self.builder
+        while True:
+            number = self.take(_NUMBER, "a number" if root else None)
+            if number is None:
+                sign = -1.0 if self.take("-") else 1.0
+                b.edge(add, self.product(), sign)
+            elif self.take(r"\*"):
+                b.edge(add, self.product(), float(number))
+            else:
+                b.edge(add, b.node(CONST), float(number))
+            if self.take(_PLUS) is None:
+                return
+
+    def product(self) -> int:
+        mul = self.builder.node(MUL)
+        while True:
+            node, feature = self.factor()
+            self.builder.edge(mul, node, feature)
+            if not self.take(r"\*"):
+                return mul
+
+    def exponent(self) -> float | None:
+        return float(self.take(_NUMBER, "a number")) if self.take(r"\^") else None
+
+    def factor(self) -> tuple[int, float]:
+        """One factor as (node, feature of the edge into it)."""
+        b = self.builder
+        log = self.take(r"(log10|ln)\(")
+        if log:
+            node = b.node(LOG)
+            b.edge(node, self.product(), 1.0)
+            self.take(r"\)", "')'")
+            base = 10.0 if log == "log10(" else math.e
+            exponent = self.exponent()
+            if exponent is None:
+                return node, base
+            power = b.node(POW)
+            b.edge(power, node, base)
+            return power, exponent
+        name = self.take(r"[A-Za-z_]\w*")
+        if name is None:
+            self.take(r"\(", "a name, '(', 'log10(' or 'ln('")
+        power = b.node(POW)
+        if name is not None:
+            b.edge(power, b.node(VAR, name), 1.0)
+        else:
+            add = b.node(ADD)
+            self.sum(add, root=False)
+            self.take(r"\)", "')'")
+            b.edge(power, add, 1.0)
+        exponent = self.exponent()
+        return power, 1.0 if exponent is None else exponent
+
+
+def parse(text: str) -> ExprGraph:
+    """The graph of a sum of terms written as ``render`` writes it.
+
+    Raises ValueError naming the position of the first character that the
+    grammar does not accept.
+    """
+    parser = _Parser(text)
+    root = parser.builder.node(ADD)
+    parser.sum(root, root=True)
+    parser.take(r"\Z", "' + ' or the end of the text")
+    return parser.builder.build(root)
 
 
 # ---------------------------------------------------------------------------

@@ -85,26 +85,6 @@ def _recip(num: float, den: float, what: str) -> float:
 
 # --- audible noise, dB re 1 uW/m -------------------------------------------
 
-def _an_discovered_3(E, n, d):
-    return 0.0878 * E * n + 72.3 * _log10(d, "d") \
-        - _recip(648.7, E * _log10(E, "E"), "E*log10(E)")
-
-
-def _an_discovered_4(E, n, d):
-    return 0.093 * E * n + 55.02 * _log10(d, "d") \
-        - _recip(591.0, E * d ** 2, "E*d^2") - _recip(5448.0, E ** 2, "E^2")
-
-
-def _an_discovered_5(E, n, d):
-    return 0.0116 * n ** 2 * d \
-        - _recip(102.4 * n, E * _ln(E, "E") + d ** 2, "E*ln(E)+d^2") \
-        + 9.216 * d + 19.13 * _ln(n, "n") - _recip(677.3, E, "E")
-
-
-def _an_poly_baseline(E, n, d):
-    return 1.022 * n + 10.4 * d + 30.839 - _recip(933.633, E, "E")
-
-
 def _an_bpa(E, n, d):
     return 120 * _log10(E, "E") + 55 * _log10(d, "d") + 26.4 * _log10(n, "n") - 128.4
 
@@ -139,26 +119,6 @@ def _an_dso(E, n, d):
 
 
 # --- RI excitation function, dB --------------------------------------------
-
-def _ri_discovered_3(E, n, d):
-    return 45.6 * _log10(E, "E") - _recip(819.5, d * (E - 1.0), "d*(E-1)") \
-        + 0.07 * n * d ** 2
-
-
-def _ri_discovered_4(E, n, d):
-    return -_recip(117.2 * n, n ** 2 * d - d, "n^2*d-d") \
-        - _recip(133.5 * n, E + n * d ** 2, "E+n*d^2") \
-        + 98.68 - _recip(629.7, E, "E")
-
-
-def _ri_discovered_5(E, n, d):
-    return -_recip(45.87 * E, n ** 3 * d, "n^3*d") + 4.499 * d + 72.88 \
-        - _recip(522.2, E, "E") - _recip(543.4, E * d, "E*d")
-
-
-def _ri_poly_baseline(E, n, d):
-    return 6.51 * d + 10.287 * _log10(n, "n") + 55.22 - _recip(671.7, E, "E")
-
 
 def _ri_bpa(E, n, d):
     return 120 * _log10(E / 15.0, "E/15") + 40 * _log10(d / 4.0, "d/4") + 37.02
@@ -199,6 +159,124 @@ def _ri_dso(E, n, d):
     return 11.1 * E / n + 18.2 * d - 68.6 * d / n + 0.99 * n - 16.1
 
 
+# --- discovered laws and regression baselines ------------------------------
+# Each law is written once, in the grammar that exprgraph.render emits, with
+# the published coefficients; its graph and its scalar form both come from
+# this string.
+
+GRAPH_FORMS: dict[str, str] = {
+    # audible noise, dB re 1 uW/m
+    "an-discovered-3": "0.0878*E*n + 72.3*log10(d) + -648.7*E^-1*log10(E)^-1",
+    "an-discovered-4": "0.093*E*n + 55.02*log10(d) + -591*E^-1*d^-2 + -5448*E^-2",
+    "an-discovered-5": "0.0116*n^2*d + -102.4*n*(E*ln(E) + d^2)^-1 + 9.216*d"
+                       " + 19.13*ln(n) + -677.3*E^-1",
+    "an-poly-baseline": "1.022*n + 10.4*d + 30.839 + -933.633*E^-1",
+    # RI excitation function, dB
+    "ri-discovered-3": "45.6*log10(E) + -819.5*d^-1*(E + -1)^-1 + 0.07*n*d^2",
+    "ri-discovered-4": "-117.2*n*(n^2*d + -d)^-1 + -133.5*n*(E + n*d^2)^-1"
+                       " + 98.68 + -629.7*E^-1",
+    "ri-discovered-5": "-45.87*E*n^-3*d^-1 + 4.499*d + 72.88 + -522.2*E^-1"
+                       " + -543.4*E^-1*d^-1",
+    "ri-poly-baseline": "6.51*d + 10.287*log10(n) + 55.22 + -671.7*E^-1",
+}
+
+
+def discovered_graph(model_id: str) -> exprgraph.ExprGraph:
+    """Expression-graph form of a discovered law or regression baseline."""
+    try:
+        law = GRAPH_FORMS[model_id]
+    except KeyError:
+        raise UnknownModelError(
+            f"no graph form for {model_id!r}; available: "
+            f"{', '.join(sorted(GRAPH_FORMS))}") from None
+    return exprgraph.parse(law)
+
+
+def _scalar_form(model_id: str) -> Callable[[float, float, float], float]:
+    """A law of GRAPH_FORMS as a tree of closures over math, taking (E, n, d).
+
+    It computes what exprgraph.evaluate computes, operation by operation,
+    and raises DomainError wherever that meets a non-finite value: a
+    (near-)zero denominator, a non-positive log argument, an undefined or
+    overflowing power, or a non-finite result.
+    """
+    graph = discovered_graph(model_id)
+
+    def fail(message):
+        raise DomainError(f"{model_id}: {message}")
+
+    def node_fn(nid):
+        node = graph.node(nid)
+        if node.kind == exprgraph.VAR:
+            index = ("E", "n", "d").index(node.name)
+            return lambda args: args[index]
+        if node.kind == exprgraph.CONST:
+            return lambda args: 1.0
+        parts = [edge_fn(e, node.kind) for e in graph.children(nid)]
+        if node.kind == exprgraph.ADD:
+            def add(args):
+                total = 0.0
+                for part in parts:
+                    total += part(args)
+                return total
+            return add
+        if len(parts) == 1:  # 1.0 * x is x
+            return parts[0]
+
+        def mul(args):
+            product = 1.0
+            for part in parts:
+                product *= part(args)
+            return product
+        return mul
+
+    def edge_fn(edge, parent_kind):
+        kind = graph.node(edge.child).kind
+        if kind not in (exprgraph.POW, exprgraph.LOG):
+            value = node_fn(edge.child)
+            if parent_kind != exprgraph.ADD:
+                return value
+            coef = edge.feature
+            return lambda args: coef * value(args)
+        inner_edge = graph.children(edge.child)[0]
+        inner = edge_fn(inner_edge, kind)
+        if kind == exprgraph.LOG:
+            name = "log10" if edge.feature == 10.0 else "ln"
+            what = exprgraph.render_operand(graph, inner_edge, bare=True)
+            scale = math.log(edge.feature)
+
+            def log(args):
+                x = inner(args)
+                if not x > 0:
+                    fail(f"{name} argument {what} = {x!r} is not positive")
+                return math.log(x) / scale
+            return log
+        exponent = edge.feature
+        if exponent == 1.0:  # pow(x, 1) is x
+            return inner
+        operand = exprgraph.render_operand(graph, inner_edge)
+
+        def power(args):
+            x = inner(args)
+            if exponent < 0 and abs(x) < exprgraph.DENOM_GUARD:
+                fail(f"denominator {operand} = {x!r} is (near) zero")
+            try:
+                return math.pow(x, exponent)
+            except (OverflowError, ValueError):
+                pass
+            fail(f"{operand}^{exponent:g} is not finite at {operand} = {x!r}")
+        return power
+
+    root = node_fn(graph.root)
+
+    def fn(E, n, d):
+        value = root((E, n, d))
+        if not math.isfinite(value):
+            fail(f"evaluates to {value!r} at E={E!r}, n={n!r}, d={d!r}")
+        return value
+    return fn
+
+
 @dataclass(frozen=True)
 class ModelInfo:
     id: str
@@ -211,10 +289,14 @@ class ModelInfo:
 
 
 _MODELS = [
-    ModelInfo("an-discovered-3", AN, "graph-search law, 3 terms", 3, "discovered", _an_discovered_3),
-    ModelInfo("an-discovered-4", AN, "graph-search law, 4 terms", 4, "discovered", _an_discovered_4),
-    ModelInfo("an-discovered-5", AN, "graph-search law, 5 terms", 5, "discovered", _an_discovered_5),
-    ModelInfo("an-poly-baseline", AN, "polynomial regression baseline", 4, "baseline", _an_poly_baseline),
+    ModelInfo("an-discovered-3", AN, "graph-search law, 3 terms", 3, "discovered",
+              _scalar_form("an-discovered-3")),
+    ModelInfo("an-discovered-4", AN, "graph-search law, 4 terms", 4, "discovered",
+              _scalar_form("an-discovered-4")),
+    ModelInfo("an-discovered-5", AN, "graph-search law, 5 terms", 5, "discovered",
+              _scalar_form("an-discovered-5")),
+    ModelInfo("an-poly-baseline", AN, "polynomial regression baseline", 4, "baseline",
+              _scalar_form("an-poly-baseline")),
     ModelInfo("an-bpa", AN, "BPA", 4, "empirical", _an_bpa),
     ModelInfo("an-enel", AN, "ENEL", 4, "empirical", _an_enel),
     ModelInfo("an-ireq", AN, "IREQ", 4, "empirical", _an_ireq),
@@ -223,10 +305,14 @@ _MODELS = [
     ModelInfo("an-epri", AN, "EPRI", 3, "empirical", _an_epri),
     ModelInfo("an-pysr", AN, "PySR baseline", 4, "discovered", _an_pysr),
     ModelInfo("an-dso", AN, "DSO baseline", 5, "discovered", _an_dso),
-    ModelInfo("ri-discovered-3", RI, "graph-search law, 3 terms", 3, "discovered", _ri_discovered_3),
-    ModelInfo("ri-discovered-4", RI, "graph-search law, 4 terms", 4, "discovered", _ri_discovered_4),
-    ModelInfo("ri-discovered-5", RI, "graph-search law, 5 terms", 5, "discovered", _ri_discovered_5),
-    ModelInfo("ri-poly-baseline", RI, "polynomial regression baseline", 4, "baseline", _ri_poly_baseline),
+    ModelInfo("ri-discovered-3", RI, "graph-search law, 3 terms", 3, "discovered",
+              _scalar_form("ri-discovered-3")),
+    ModelInfo("ri-discovered-4", RI, "graph-search law, 4 terms", 4, "discovered",
+              _scalar_form("ri-discovered-4")),
+    ModelInfo("ri-discovered-5", RI, "graph-search law, 5 terms", 5, "discovered",
+              _scalar_form("ri-discovered-5")),
+    ModelInfo("ri-poly-baseline", RI, "polynomial regression baseline", 4, "baseline",
+              _scalar_form("ri-poly-baseline")),
     ModelInfo("ri-bpa", RI, "BPA", 3, "empirical", _ri_bpa),
     ModelInfo("ri-cigre", RI, "CIGRE", 3, "empirical", _ri_cigre),
     ModelInfo("ri-epri", RI, "EPRI", 3, "empirical", _ri_epri, piecewise=True),
@@ -273,201 +359,3 @@ def evaluate_model(model_id: str, bundle: BundleConfig) -> float:
     """Kind-agnostic evaluation, used by the benchmark and sweep commands."""
     info = get_model(model_id)
     return info.fn(bundle.E, bundle.n, bundle.d)
-
-
-# ---------------------------------------------------------------------------
-# expression-graph forms of the discovered laws and regression baselines
-# ---------------------------------------------------------------------------
-
-def _pp(b, parent, *factors):
-    """Attach a power-product Mul node; factors are (name, exponent) pairs."""
-    head = b.node(exprgraph.MUL)
-    for name, exp in factors:
-        p = b.node(exprgraph.POW)
-        v = b.node(exprgraph.VAR, name)
-        b.edge(head, p, exp)
-        b.edge(p, v, 1.0)
-    if parent is not None:
-        b.edge(parent, head)
-    return head
-
-
-def _log_factor(b, mul_node, base, *factors):
-    log_node = b.node(exprgraph.LOG)
-    b.edge(mul_node, log_node, base)
-    arg = _pp(b, None, *factors)
-    b.edge(log_node, arg, 1.0)
-    return log_node
-
-
-def _reciprocal(b, mul_node, inner_id):
-    p = b.node(exprgraph.POW)
-    b.edge(mul_node, p, -1.0)
-    b.edge(p, inner_id, 1.0)
-    return p
-
-
-def _const_term(b, root, value):
-    c = b.node(exprgraph.CONST)
-    b.edge(root, c, value)
-
-
-E10 = 10.0
-EE = math.e
-
-
-def graph_an_discovered_3() -> exprgraph.ExprGraph:
-    # 0.0878*E*n + 72.3*log10(d) - 648.7/(E*log10(E))
-    b = exprgraph.GraphBuilder()
-    root = b.node(exprgraph.ADD)
-    t1 = _pp(b, None, ("E", 1), ("n", 1))
-    b.edge(root, t1, 0.0878)
-    t2 = b.node(exprgraph.MUL)
-    _log_factor(b, t2, E10, ("d", 1))
-    b.edge(root, t2, 72.3)
-    t3 = b.node(exprgraph.MUL)
-    p = b.node(exprgraph.POW)
-    v = b.node(exprgraph.VAR, "E")
-    b.edge(t3, p, -1.0)
-    b.edge(p, v, 1.0)
-    pl = b.node(exprgraph.POW)
-    b.edge(t3, pl, -1.0)
-    lg = b.node(exprgraph.LOG)
-    b.edge(pl, lg, E10)
-    b.edge(lg, b.node(exprgraph.VAR, "E"), 1.0)
-    b.edge(root, t3, -648.7)
-    return b.build(root)
-
-
-def graph_an_discovered_4() -> exprgraph.ExprGraph:
-    # 0.093*E*n + 55.02*log10(d) - 591/(E*d^2) - 5448/E^2
-    b = exprgraph.GraphBuilder()
-    root = b.node(exprgraph.ADD)
-    b.edge(root, _pp(b, None, ("E", 1), ("n", 1)), 0.093)
-    t2 = b.node(exprgraph.MUL)
-    _log_factor(b, t2, E10, ("d", 1))
-    b.edge(root, t2, 55.02)
-    b.edge(root, _pp(b, None, ("E", -1), ("d", -2)), -591.0)
-    b.edge(root, _pp(b, None, ("E", -2)), -5448.0)
-    return b.build(root)
-
-
-def graph_an_discovered_5() -> exprgraph.ExprGraph:
-    # 0.0116*n^2*d - 102.4*n/(E*ln(E)+d^2) + 9.216*d + 19.13*ln(n) - 677.3/E
-    b = exprgraph.GraphBuilder()
-    root = b.node(exprgraph.ADD)
-    b.edge(root, _pp(b, None, ("n", 2), ("d", 1)), 0.0116)
-    t2 = _pp(b, None, ("n", 1))
-    denom = b.node(exprgraph.ADD)
-    s1 = b.node(exprgraph.MUL)
-    pE = b.node(exprgraph.POW)
-    b.edge(s1, pE, 1.0)
-    b.edge(pE, b.node(exprgraph.VAR, "E"), 1.0)
-    _log_factor(b, s1, EE, ("E", 1))
-    b.edge(denom, s1, 1.0)
-    b.edge(denom, _pp(b, None, ("d", 2)), 1.0)
-    _reciprocal(b, t2, denom)
-    b.edge(root, t2, -102.4)
-    b.edge(root, _pp(b, None, ("d", 1)), 9.216)
-    t4 = b.node(exprgraph.MUL)
-    _log_factor(b, t4, EE, ("n", 1))
-    b.edge(root, t4, 19.13)
-    b.edge(root, _pp(b, None, ("E", -1)), -677.3)
-    return b.build(root)
-
-
-def graph_an_poly_baseline() -> exprgraph.ExprGraph:
-    # 1.022*n + 10.4*d + 30.839 - 933.633/E
-    b = exprgraph.GraphBuilder()
-    root = b.node(exprgraph.ADD)
-    b.edge(root, _pp(b, None, ("n", 1)), 1.022)
-    b.edge(root, _pp(b, None, ("d", 1)), 10.4)
-    _const_term(b, root, 30.839)
-    b.edge(root, _pp(b, None, ("E", -1)), -933.633)
-    return b.build(root)
-
-
-def graph_ri_discovered_3() -> exprgraph.ExprGraph:
-    # 45.6*log10(E) - 819.5/(d*(E-1)) + 0.07*n*d^2
-    b = exprgraph.GraphBuilder()
-    root = b.node(exprgraph.ADD)
-    t1 = b.node(exprgraph.MUL)
-    _log_factor(b, t1, E10, ("E", 1))
-    b.edge(root, t1, 45.6)
-    t2 = _pp(b, None, ("d", -1))
-    shifted = b.node(exprgraph.ADD)
-    b.edge(shifted, _pp(b, None, ("E", 1)), 1.0)
-    c = b.node(exprgraph.CONST)
-    b.edge(shifted, c, -1.0)
-    _reciprocal(b, t2, shifted)
-    b.edge(root, t2, -819.5)
-    b.edge(root, _pp(b, None, ("n", 1), ("d", 2)), 0.07)
-    return b.build(root)
-
-
-def graph_ri_discovered_4() -> exprgraph.ExprGraph:
-    # -117.2*n/(n^2*d-d) - 133.5*n/(E+n*d^2) + 98.68 - 629.7/E
-    b = exprgraph.GraphBuilder()
-    root = b.node(exprgraph.ADD)
-    t1 = _pp(b, None, ("n", 1))
-    d1 = b.node(exprgraph.ADD)
-    b.edge(d1, _pp(b, None, ("n", 2), ("d", 1)), 1.0)
-    b.edge(d1, _pp(b, None, ("d", 1)), -1.0)
-    _reciprocal(b, t1, d1)
-    b.edge(root, t1, -117.2)
-    t2 = _pp(b, None, ("n", 1))
-    d2 = b.node(exprgraph.ADD)
-    b.edge(d2, _pp(b, None, ("E", 1)), 1.0)
-    b.edge(d2, _pp(b, None, ("n", 1), ("d", 2)), 1.0)
-    _reciprocal(b, t2, d2)
-    b.edge(root, t2, -133.5)
-    _const_term(b, root, 98.68)
-    b.edge(root, _pp(b, None, ("E", -1)), -629.7)
-    return b.build(root)
-
-
-def graph_ri_discovered_5() -> exprgraph.ExprGraph:
-    # -45.87*E/(n^3*d) + 4.499*d + 72.88 - 522.2/E - 543.4/(E*d)
-    b = exprgraph.GraphBuilder()
-    root = b.node(exprgraph.ADD)
-    b.edge(root, _pp(b, None, ("E", 1), ("n", -3), ("d", -1)), -45.87)
-    b.edge(root, _pp(b, None, ("d", 1)), 4.499)
-    _const_term(b, root, 72.88)
-    b.edge(root, _pp(b, None, ("E", -1)), -522.2)
-    b.edge(root, _pp(b, None, ("E", -1), ("d", -1)), -543.4)
-    return b.build(root)
-
-
-def graph_ri_poly_baseline() -> exprgraph.ExprGraph:
-    # 6.51*d + 10.287*log10(n) + 55.22 - 671.7/E
-    b = exprgraph.GraphBuilder()
-    root = b.node(exprgraph.ADD)
-    b.edge(root, _pp(b, None, ("d", 1)), 6.51)
-    t2 = b.node(exprgraph.MUL)
-    _log_factor(b, t2, E10, ("n", 1))
-    b.edge(root, t2, 10.287)
-    _const_term(b, root, 55.22)
-    b.edge(root, _pp(b, None, ("E", -1)), -671.7)
-    return b.build(root)
-
-
-GRAPH_FORMS: dict[str, Callable[[], exprgraph.ExprGraph]] = {
-    "an-discovered-3": graph_an_discovered_3,
-    "an-discovered-4": graph_an_discovered_4,
-    "an-discovered-5": graph_an_discovered_5,
-    "an-poly-baseline": graph_an_poly_baseline,
-    "ri-discovered-3": graph_ri_discovered_3,
-    "ri-discovered-4": graph_ri_discovered_4,
-    "ri-discovered-5": graph_ri_discovered_5,
-    "ri-poly-baseline": graph_ri_poly_baseline,
-}
-
-
-def discovered_graph(model_id: str) -> exprgraph.ExprGraph:
-    """Expression-graph form of a discovered law or regression baseline."""
-    try:
-        return GRAPH_FORMS[model_id]()
-    except KeyError:
-        raise UnknownModelError(
-            f"no graph form for {model_id!r}; available: "
-            f"{', '.join(sorted(GRAPH_FORMS))}") from None

@@ -172,8 +172,8 @@ class TermScorer:
     eviction, so the cache neither grows nor fragments the heap.  The design
     matrix is gathered from the cached row blocks and each sweep is the
     fitted sum of the cached sweep blocks.  A score depends only on the
-    terms, never on the cache's state, so eviction and worker processes
-    cannot change a result.
+    terms, never on the cache's state, so eviction cannot change a
+    result.
     """
 
     def __init__(self, data: Dataset, specs: list[MonotonicitySpec],

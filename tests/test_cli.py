@@ -82,15 +82,19 @@ class TestDiscover:
         assert (out_a / "report.json").read_bytes() \
             == (out_b / "report.json").read_bytes()
 
-    def test_parallel_matches_serial_bytes(self, tmp_path):
+    def test_parallel_matches_serial_bytes(self, tmp_path, capsys):
         data = write_eq8_csv(tmp_path / "data.csv")
         config = write_config(tmp_path / "config.json")
         out_s, out_p = tmp_path / "serial", tmp_path / "parallel"
         assert cli.main(["discover", "--data", str(data), "--config",
                          str(config), "--out", str(out_s)]) == 0
+        assert "warning:" not in capsys.readouterr().err
         assert cli.main(["discover", "--data", str(data), "--config",
                          str(config), "--out", str(out_p),
                          "--workers", "2"]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1 and "--workers" in warnings[0]
         assert (out_s / "report.json").read_bytes() \
             == (out_p / "report.json").read_bytes()
 
@@ -102,6 +106,15 @@ class TestDiscover:
                          str(config), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_header_only_csv_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "header.csv"
+        data.write_text("E,n,d,y\n", encoding="utf-8")
+        config = write_config(tmp_path / "config.json")
+        code = cli.main(["discover", "--data", str(data), "--config",
+                         str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "no data rows" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         data = write_eq8_csv(tmp_path / "data.csv")
@@ -139,6 +152,20 @@ class TestDiscover:
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and "'E'" in err
+
+    @pytest.mark.parametrize("override", [
+        {"seed": -1},
+        {"mutation_rates": [math.nan, 0.5, 0.5]},
+        {"template_weights": [0.35, math.inf, 0.25, 0.15]},
+        {"lambda_mono": math.inf},
+        {"monotonicity": [{"var": "E", "sign": "+1", "domain": [1, math.inf]}]},
+    ], ids=["seed-negative", "rates-nan", "weights-inf", "lambda-inf",
+            "domain-inf"])
+    def test_negative_seed_or_non_finite_number_exits_2(self, tmp_path, capsys,
+                                                        override):
+        assert self.discover_exit(tmp_path, **override) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_must_be_positive(self, tmp_path, capsys, workers):
@@ -235,6 +262,19 @@ class TestPredict:
                          str(geometry), "--model", "an-bpa"])
         assert code == 2
         assert "towers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("phase,extra", [
+        ({"h": math.inf}, {}),
+        ({}, {"f_ri": math.nan}),
+        ({}, {"rho": -math.inf}),
+    ], ids=["h-inf", "f_ri-nan", "rho-minus-inf"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, phase, extra):
+        phases = [dict(THREE_PHASES[0], **phase)] + THREE_PHASES[1:]
+        geometry = write_geometry(tmp_path / "geom.json", phases, **extra)
+        code = cli.main(["predict", "--kind", "ri", "--geometry",
+                         str(geometry), "--model", "ri-discovered-4"])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_kind_model_mismatch(self, tmp_path, capsys):
         geometry = write_geometry(tmp_path / "geom.json", THREE_PHASES)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coronakit import exprgraph
+from coronakit import exprgraph, models
 from coronakit.errors import NonFiniteError, UnboundVariableError
 from coronakit.exprgraph import (
     ADD,
@@ -194,6 +194,62 @@ class TestRender:
                       float(rng.normal(scale=100.0))) for k in kinds]
             assert exprgraph.render_terms(terms) \
                 == render(exprgraph.from_terms(terms))
+
+
+class TestParse:
+    def only_child(self, graph, nid):
+        (edge,) = graph.children(nid)
+        return edge, graph.node(edge.child)
+
+    def test_name_is_pow_over_var_under_mul(self):
+        g = exprgraph.parse("2*x")
+        edge, mul = self.only_child(g, g.root)
+        assert (edge.feature, mul.kind) == (2.0, MUL)
+        edge, power = self.only_child(g, mul.id)
+        assert (edge.feature, power.kind) == (1.0, POW)
+        edge, var = self.only_child(g, power.id)
+        assert (edge.feature, var.kind, var.name) == (1.0, VAR, "x")
+
+    def test_bare_number_is_const_term(self):
+        g = exprgraph.parse("-1.23457e-05 + 3*E^-2")
+        const, term = g.term_edges
+        assert g.node(const.child).kind == CONST
+        assert const.feature == -1.23457e-05
+        _, power = self.only_child(g, term.child)
+        assert g.children(term.child)[0].feature == -2.0
+        assert g.node(g.children(power.id)[0].child).name == "E"
+
+    def test_inner_sum_forms(self):
+        g = exprgraph.parse("1*(-1 + -E + 2*n^2)^-1")
+        _, mul = self.only_child(g, g.root)
+        edge, power = self.only_child(g, mul.id)
+        assert edge.feature == -1.0
+        _, add = self.only_child(g, power.id)
+        parts = g.children(add.id)
+        assert [g.node(e.child).kind for e in parts] == [CONST, MUL, MUL]
+        assert [e.feature for e in parts] == [-1.0, -1.0, 2.0]
+
+    def test_log_factors(self):
+        g = exprgraph.parse("1*log10(E)^-1*ln(E*n)")
+        _, mul = self.only_child(g, g.root)
+        first, second = g.children(mul.id)
+        assert (g.node(first.child).kind, first.feature) == (POW, -1.0)
+        edge, log10 = self.only_child(g, first.child)
+        assert (log10.kind, edge.feature) == (LOG, 10.0)
+        assert (g.node(second.child).kind, second.feature) == (LOG, math.e)
+        _, arg = self.only_child(g, second.child)
+        assert arg.kind == MUL and len(g.children(arg.id)) == 2
+
+    def test_evaluates_as_the_built_graph(self):
+        g = exprgraph.parse("0.0878*E*n + 72.3*log10(d) + -648.7*E^-1*log10(E)^-1")
+        point = {"E": 20.0, "n": 8.0, "d": 2.4}
+        assert evaluate(g, point) == pytest.approx(evaluate(eq5_graph(), point),
+                                                   rel=1e-12)
+
+    @pytest.mark.parametrize("model_id", sorted(models.GRAPH_FORMS))
+    def test_rendered_laws_read_back(self, model_id):
+        text = render(models.discovered_graph(model_id))
+        assert render(exprgraph.parse(text)) == text
 
 
 class TestSerialization:

@@ -33,21 +33,20 @@ def mono_specs(data):
             for v in ("E", "n", "d")]
 
 
-#: file name -> (monotonicity specs?, dedup, workers, GP seed)
+#: file name -> (monotonicity specs?, dedup, GP seed)
 RUNS = {
-    "mono-specs.json": (True, False, 1, 5),
-    "dedup-no-specs.json": (False, True, 1, 6),
-    "mono-specs-workers2.json": (True, False, 2, 5),
+    "mono-specs.json": (True, False, 5),
+    "dedup-no-specs.json": (False, True, 6),
 }
 
 
 def golden_report(name: str) -> str:
-    monotone, dedup, workers, seed = RUNS[name]
+    monotone, dedup, seed = RUNS[name]
     data = an_grid()
     specs = mono_specs(data) if monotone else []
     config = evolve.GPConfig(population_size=40, generations=8, max_terms=4,
                              dedup=dedup, seed=seed)
-    return evolve.run_discovery(data, specs, config, workers=workers).to_json()
+    return evolve.run_discovery(data, specs, config).to_json()
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

@@ -172,6 +172,39 @@ class TestGraphForms:
             graph = discovered_graph(model_id)
             assert graph.term_count == get_model(model_id).term_count
 
+    @pytest.mark.parametrize("model_id", sorted(models.GRAPH_FORMS))
+    def test_law_string_parses_to_catalog_shape(self, model_id):
+        graph = exprgraph.parse(models.GRAPH_FORMS[model_id])
+        assert exprgraph.validate(graph, max_terms=5) == []
+        assert graph.term_count == get_model(model_id).term_count
+
+    @pytest.mark.parametrize("text,position", [
+        ("0.0878*E*n + 72.3*log10(d", 25),
+        ("98.68 + -629.7/E", 14),
+        ("-117.2*n*(n^2*d - d)^-1", 15),
+        ("45.6*log10(E) + 0.07*n*d^", 25),
+    ])
+    def test_malformed_law_names_position(self, text, position):
+        with pytest.raises(ValueError, match=f"at position {position} "):
+            exprgraph.parse(text)
+
+    def test_scalar_form_does_not_walk_the_graph(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("graph evaluator called")
+        monkeypatch.setattr(exprgraph, "evaluate", refuse)
+        monkeypatch.setattr(exprgraph, "_eval_root", refuse)
+        assert round(evaluate_model("ri-discovered-4", REFERENCE_BUNDLE), 3) \
+            == 44.832
+
+    def test_domain_error_names_model_and_operand(self):
+        with pytest.raises(DomainError,
+                           match=r"^ri-discovered-4: denominator \(-d \+ d\*n\^2\)"):
+            evaluate_model("ri-discovered-4", BundleConfig(E=20, n=1, d=2.4))
+        with pytest.raises(DomainError, match=r"^an-discovered-5: n\^2 is not finite"):
+            evaluate_model("an-discovered-5", BundleConfig(E=20, n=1e200, d=2.4))
+        with pytest.raises(DomainError, match=r"^an-discovered-3: evaluates to inf"):
+            evaluate_model("an-discovered-3", BundleConfig(E=1e300, n=1e300, d=2.4))
+
     def test_unknown_graph_form(self):
         with pytest.raises(UnknownModelError):
             discovered_graph("an-bpa")
