@@ -38,6 +38,10 @@ _CONFIG_KEYS = {
 
 _MONO_KEYS = {"var", "sign", "domain", "grid"}
 
+#: largest |exponent| an 'exponent_range' may name; the loader expands the
+#: range into one alphabet entry per integer
+MAX_EXPONENT = 10
+
 _RATE_NAMES = ("edge_feature", "subgraph_replace", "add_remove")
 _WEIGHT_NAMES = ("poly", "rational", "log", "const")
 
@@ -96,9 +100,11 @@ def load_run_config(path) -> dict:
 
     exponent_range = raw.get("exponent_range", [-3, 3])
     _require(isinstance(exponent_range, list) and len(exponent_range) == 2
-             and all(isinstance(v, int) for v in exponent_range)
+             and all(isinstance(v, int) and not isinstance(v, bool)
+                     and abs(v) <= MAX_EXPONENT for v in exponent_range)
              and exponent_range[0] < exponent_range[1],
-             f"{path}: 'exponent_range' must be [lo, hi] integers")
+             f"{path}: 'exponent_range' must be [lo, hi] integers in "
+             f"[-{MAX_EXPONENT}, {MAX_EXPONENT}]")
     alphabet = tuple(v for v in range(exponent_range[0], exponent_range[1] + 1)
                      if v != 0)
     _require(bool(alphabet), f"{path}: exponent range contains no usable exponent")

@@ -295,6 +295,95 @@ def evaluate(graph: ExprGraph, assignment: dict) -> float:
     return result
 
 
+def compile_scalar(graph: ExprGraph, names, on_domain_error):
+    """Compile the graph into a tree of closures over math.
+
+    The result takes one float per entry of ``names``, in that order, and
+    performs evaluate's operations one by one, without numpy or a walk of
+    the graph.  Wherever evaluate would meet a NaN (a (near-)zero
+    denominator, a non-positive log argument, an undefined power) or give
+    a non-finite result, it calls ``on_domain_error`` with a message naming
+    the rendered operand; that callback must raise.
+    """
+    def node_fn(nid):
+        node = graph.node(nid)
+        if node.kind == VAR:
+            if node.name not in names:
+                raise UnboundVariableError(node.name)
+            index = names.index(node.name)
+            return lambda args: args[index]
+        if node.kind == CONST:
+            return lambda args: 1.0
+        if node.kind == ADD:
+            terms = [edge_fn(e, ADD) for e in graph.children(nid)]
+
+            def add(args):
+                total = 0.0
+                for coef, term in terms:
+                    total += coef * term(args)
+                return total
+            return add
+        parts = [edge_fn(e, MUL)[1] for e in graph.children(nid)]
+        if len(parts) == 1:  # 1.0 * x is x
+            return parts[0]
+
+        def mul(args):
+            product = 1.0
+            for part in parts:
+                product *= part(args)
+            return product
+        return mul
+
+    def edge_fn(edge, parent_kind):
+        """(scale, closure) of an edge; its value is scale * closure(args)."""
+        kind = graph.node(edge.child).kind
+        if kind not in (POW, LOG):
+            scale = edge.feature if parent_kind == ADD else 1.0
+            return scale, node_fn(edge.child)
+        inner_edge = graph.children(edge.child)[0]
+        inner = edge_fn(inner_edge, kind)[1]
+        if kind == LOG:
+            name = "log10" if _is_log_base_10(edge.feature) else "ln"
+            what = _render_operand(graph, inner_edge, bare=True)
+            scale = math.log(edge.feature)
+
+            def log(args):
+                x = inner(args)
+                if not x > 0:
+                    on_domain_error(f"{name} argument {what} = {x!r} "
+                                    "is not positive")
+                return math.log(x) / scale
+            return 1.0, log
+        exponent = edge.feature
+        if exponent == 1.0:  # pow(x, 1) is x
+            return 1.0, inner
+        operand = _render_operand(graph, inner_edge)
+
+        def power(args):
+            x = inner(args)
+            if exponent < 0 and abs(x) < DENOM_GUARD:
+                on_domain_error(f"denominator {operand} = {x!r} is (near) zero")
+            try:
+                return math.pow(x, exponent)
+            except OverflowError:  # an infinity, as in evaluate
+                return math.copysign(math.inf, x) if exponent % 2 == 1 \
+                    else math.inf
+            except ValueError:
+                on_domain_error(f"{operand}^{_fmt_exp(exponent)} is undefined "
+                                f"at {operand} = {x!r}")
+        return 1.0, power
+
+    root = node_fn(graph.root)
+
+    def scalar(*values):
+        value = root(values)
+        if not math.isfinite(value):
+            at = ", ".join(f"{n}={v!r}" for n, v in zip(names, values))
+            on_domain_error(f"evaluates to {value!r} at {at}")
+        return value
+    return scalar
+
+
 def _column_env(data) -> dict:
     columns = getattr(data, "columns", data)
     return {name: np.asarray(col, dtype=float) for name, col in columns.items()}
@@ -486,18 +575,18 @@ def _render_factor(graph: ExprGraph, edge: Edge) -> str:
     child = graph.node(edge.child)
     if child.kind == POW:
         inner = graph.children(edge.child)[0]
-        base = render_operand(graph, inner)
+        base = _render_operand(graph, inner)
         if edge.feature == 1.0:
             return base
         return f"{base}^{_fmt_exp(edge.feature)}"
     if child.kind == LOG:
         inner = graph.children(edge.child)[0]
         fn = "log10" if _is_log_base_10(edge.feature) else "ln"
-        return f"{fn}({render_operand(graph, inner, bare=True)})"
-    return render_operand(graph, edge)
+        return f"{fn}({_render_operand(graph, inner, bare=True)})"
+    return _render_operand(graph, edge)
 
 
-def render_operand(graph: ExprGraph, edge: Edge, bare: bool = False) -> str:
+def _render_operand(graph: ExprGraph, edge: Edge, bare: bool = False) -> str:
     """Render the operand under ``edge``; ``bare`` drops the parentheses
     around a product."""
     child = graph.node(edge.child)
@@ -529,7 +618,7 @@ def _render_add(graph: ExprGraph, nid: int) -> str:
         elif child.kind == CONST:
             parts.append(_fmt_exp(e.feature))
         else:
-            body = render_operand(graph, e, bare=True)
+            body = _render_operand(graph, e, bare=True)
             if e.feature == 1.0:
                 parts.append(body)
             elif e.feature == -1.0:
@@ -545,7 +634,7 @@ def _term_body(graph: ExprGraph, edge: Edge) -> str:
         return ""
     if child.kind == MUL:
         return _render_mul(graph, edge.child)
-    return render_operand(graph, edge, bare=True)
+    return _render_operand(graph, edge, bare=True)
 
 
 def _term_profile(graph: ExprGraph, edge: Edge):

@@ -193,88 +193,12 @@ def discovered_graph(model_id: str) -> exprgraph.ExprGraph:
 
 
 def _scalar_form(model_id: str) -> Callable[[float, float, float], float]:
-    """A law of GRAPH_FORMS as a tree of closures over math, taking (E, n, d).
-
-    It computes what exprgraph.evaluate computes, operation by operation,
-    and raises DomainError wherever that meets a non-finite value: a
-    (near-)zero denominator, a non-positive log argument, an undefined or
-    overflowing power, or a non-finite result.
-    """
-    graph = discovered_graph(model_id)
-
+    """A law of GRAPH_FORMS as a function of (E, n, d) over math; outside
+    its domain it raises DomainError naming the model and the operand."""
     def fail(message):
         raise DomainError(f"{model_id}: {message}")
-
-    def node_fn(nid):
-        node = graph.node(nid)
-        if node.kind == exprgraph.VAR:
-            index = ("E", "n", "d").index(node.name)
-            return lambda args: args[index]
-        if node.kind == exprgraph.CONST:
-            return lambda args: 1.0
-        parts = [edge_fn(e, node.kind) for e in graph.children(nid)]
-        if node.kind == exprgraph.ADD:
-            def add(args):
-                total = 0.0
-                for part in parts:
-                    total += part(args)
-                return total
-            return add
-        if len(parts) == 1:  # 1.0 * x is x
-            return parts[0]
-
-        def mul(args):
-            product = 1.0
-            for part in parts:
-                product *= part(args)
-            return product
-        return mul
-
-    def edge_fn(edge, parent_kind):
-        kind = graph.node(edge.child).kind
-        if kind not in (exprgraph.POW, exprgraph.LOG):
-            value = node_fn(edge.child)
-            if parent_kind != exprgraph.ADD:
-                return value
-            coef = edge.feature
-            return lambda args: coef * value(args)
-        inner_edge = graph.children(edge.child)[0]
-        inner = edge_fn(inner_edge, kind)
-        if kind == exprgraph.LOG:
-            name = "log10" if edge.feature == 10.0 else "ln"
-            what = exprgraph.render_operand(graph, inner_edge, bare=True)
-            scale = math.log(edge.feature)
-
-            def log(args):
-                x = inner(args)
-                if not x > 0:
-                    fail(f"{name} argument {what} = {x!r} is not positive")
-                return math.log(x) / scale
-            return log
-        exponent = edge.feature
-        if exponent == 1.0:  # pow(x, 1) is x
-            return inner
-        operand = exprgraph.render_operand(graph, inner_edge)
-
-        def power(args):
-            x = inner(args)
-            if exponent < 0 and abs(x) < exprgraph.DENOM_GUARD:
-                fail(f"denominator {operand} = {x!r} is (near) zero")
-            try:
-                return math.pow(x, exponent)
-            except (OverflowError, ValueError):
-                pass
-            fail(f"{operand}^{exponent:g} is not finite at {operand} = {x!r}")
-        return power
-
-    root = node_fn(graph.root)
-
-    def fn(E, n, d):
-        value = root((E, n, d))
-        if not math.isfinite(value):
-            fail(f"evaluates to {value!r} at E={E!r}, n={n!r}, d={d!r}")
-        return value
-    return fn
+    return exprgraph.compile_scalar(discovered_graph(model_id), ("E", "n", "d"),
+                                    fail)
 
 
 @dataclass(frozen=True)

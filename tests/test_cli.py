@@ -159,10 +159,10 @@ class TestDiscover:
         {"template_weights": [0.35, math.inf, 0.25, 0.15]},
         {"lambda_mono": math.inf},
         {"monotonicity": [{"var": "E", "sign": "+1", "domain": [1, math.inf]}]},
+        {"exponent_range": [-3, cli.MAX_EXPONENT + 1]},
     ], ids=["seed-negative", "rates-nan", "weights-inf", "lambda-inf",
-            "domain-inf"])
-    def test_negative_seed_or_non_finite_number_exits_2(self, tmp_path, capsys,
-                                                        override):
+            "domain-inf", "exponent-beyond-limit"])
+    def test_out_of_range_number_exits_2(self, tmp_path, capsys, override):
         assert self.discover_exit(tmp_path, **override) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -200,7 +200,7 @@ class TestGraphForms:
         with pytest.raises(DomainError,
                            match=r"^ri-discovered-4: denominator \(-d \+ d\*n\^2\)"):
             evaluate_model("ri-discovered-4", BundleConfig(E=20, n=1, d=2.4))
-        with pytest.raises(DomainError, match=r"^an-discovered-5: n\^2 is not finite"):
+        with pytest.raises(DomainError, match=r"^an-discovered-5: evaluates to inf"):
             evaluate_model("an-discovered-5", BundleConfig(E=20, n=1e200, d=2.4))
         with pytest.raises(DomainError, match=r"^an-discovered-3: evaluates to inf"):
             evaluate_model("an-discovered-3", BundleConfig(E=1e300, n=1e300, d=2.4))

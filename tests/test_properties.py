@@ -1,4 +1,5 @@
-"""Property-based tests: the render/parse round trip and the input loaders.
+"""Property-based tests: the render/parse round trip, compiled terms against
+the graph evaluator, and the input loaders.
 
 Example counts are bounded so that the whole file runs in a few seconds.
 """
@@ -7,12 +8,13 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from coronakit import cli, evolve, exprgraph
 from coronakit.data import load_dataset
-from coronakit.errors import InputError
+from coronakit.errors import InputError, NonFiniteError
 
 VARIABLES = ["E", "n", "d", "x_1"]
 
@@ -39,6 +41,38 @@ def test_render_parse_round_trip(seed, mutations, coefs):
     assert exprgraph.render(parsed) == text
 
 
+class OutOfDomain(Exception):
+    pass
+
+
+def out_of_domain(message):
+    raise OutOfDomain(message)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mutations=st.integers(0, 4),
+       point=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=4, max_size=4))
+def test_compiled_term_matches_evaluate(seed, mutations, point):
+    config = evolve.GPConfig(max_terms=4)
+    rng = np.random.default_rng(seed)
+    terms = evolve.random_graph(config, VARIABLES, rng)
+    for _ in range(mutations):
+        terms = evolve.mutate(terms, config, VARIABLES, rng)
+    assignment = dict(zip(VARIABLES, point))
+    for term, _ in terms:
+        graph = exprgraph.from_terms([(term, 1.0)])
+        compiled = exprgraph.compile_scalar(graph, VARIABLES, out_of_domain)
+        try:
+            with np.errstate(all="ignore"):
+                want = exprgraph.evaluate(graph, assignment)
+        except NonFiniteError:
+            with pytest.raises(OutOfDomain):
+                compiled(*point)
+        else:
+            assert compiled(*point) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 # numbers as the JSON loaders see them: plausible values, the non-finite
 # floats json.loads accepts (NaN, Infinity), and an integer beyond the
 # float range; plus a few values of the wrong type
@@ -51,9 +85,13 @@ RUN_CONFIGS = st.fixed_dictionaries(
     optional={
         "population_size": VALUES, "generations": VALUES,
         "max_terms": VALUES, "seed": VALUES, "lambda_mono": VALUES,
-        # bounded: the loader expands the range into an alphabet
-        "exponent_range": st.lists(st.one_of(st.integers(-50, 50), VALUES),
-                                   min_size=1, max_size=3),
+        # the loader expands an accepted range into an alphabet, so the
+        # bounds drawn here stay small enough to expand even if its limit
+        # on them were lost
+        "exponent_range": st.lists(
+            st.one_of(st.integers(-50, 50), st.sampled_from(
+                [True, None, "1", 1.5, math.nan, -10**6, 10**6])),
+            min_size=1, max_size=3),
         "mutation_rates": st.lists(VALUES, min_size=2, max_size=4),
         "template_weights": st.lists(VALUES, min_size=3, max_size=5),
         "monotonicity": st.lists(st.fixed_dictionaries(
