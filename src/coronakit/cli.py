@@ -288,13 +288,8 @@ def _assignment_from_args(args) -> dict:
         if value is not None:
             assignment[name] = value
     for text in args.set or []:
-        if "=" not in text:
-            raise InputError(f"--set expects name=value, got {text!r}")
-        name, _, value = text.partition("=")
-        try:
-            assignment[name.strip()] = float(value)
-        except ValueError:
-            raise InputError(f"--set {text!r}: value is not a number") from None
+        name, value = _name_value("--set", text)
+        assignment[name] = value
     return assignment
 
 
@@ -323,13 +318,21 @@ def load_formula(path) -> exprgraph.ExprGraph:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from None
-    if isinstance(raw, dict) and "equations" in raw:
-        if not raw["equations"]:
-            raise InputError(f"{path}: report has no equations")
-        raw = raw["equations"][0]["graph"]
-    if not (isinstance(raw, dict) and {"nodes", "edges", "root"} <= set(raw)):
-        raise InputError(f"{path}: not a graph or report file")
-    return exprgraph.ExprGraph.from_dict(raw)
+    try:
+        if isinstance(raw, dict) and "equations" in raw:
+            if not raw["equations"]:
+                raise InputError(f"{path}: report has no equations")
+            raw = raw["equations"][0]["graph"]
+        if not (isinstance(raw, dict)
+                and {"nodes", "edges", "root"} <= set(raw)):
+            raise InputError(f"{path}: not a graph or report file")
+        graph = exprgraph.ExprGraph.from_dict(raw)
+        violations = exprgraph.validate(graph)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed graph: {exc!r}") from None
+    if violations:
+        raise InputError(f"{path}: invalid graph: {violations[0].message}")
+    return graph
 
 
 def cmd_predict(args) -> int:
@@ -415,10 +418,11 @@ def _parse_sweep(text: str) -> tuple[str, float, float, int]:
     if not sep or len(parts) != 3:
         raise InputError(f"--sweep expects var=lo:hi:steps, got {text!r}")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        lo, hi = _finite_float(parts[0]), _finite_float(parts[1])
         steps = int(parts[2])
-    except ValueError:
-        raise InputError(f"--sweep {text!r}: values must be numeric") from None
+    except (ValueError, argparse.ArgumentTypeError):
+        raise InputError(f"--sweep {text!r}: values must be finite "
+                         "numbers") from None
     if steps < 0:
         raise InputError("--sweep steps must be >= 0")
     return name.strip(), lo, hi, steps
@@ -428,13 +432,8 @@ def cmd_curves(args) -> int:
     var, lo, hi, steps = _parse_sweep(args.sweep)
     fixed = {}
     for text in args.fixed or []:
-        name, sep, value = text.partition("=")
-        if not sep:
-            raise InputError(f"--fixed expects name=value, got {text!r}")
-        try:
-            fixed[name.strip()] = float(value)
-        except ValueError:
-            raise InputError(f"--fixed {text!r}: value is not a number") from None
+        name, value = _name_value("--fixed", text)
+        fixed[name] = value
     if var in fixed:
         raise InputError(f"swept variable {var!r} also appears in --fixed")
     needed = {"E", "n", "d"}
@@ -474,6 +473,30 @@ def cmd_curves(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    """A float that is neither NaN nor infinite (``1e400`` overflows to
+    infinity, so it is rejected too): the argparse type of the number
+    flags, and the parser of ``name=value`` and ``--sweep`` numbers."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _name_value(flag: str, text: str) -> tuple[str, float]:
+    """Split a ``name=value`` flag whose value must be a finite number."""
+    name, sep, value = text.partition("=")
+    if not sep:
+        raise InputError(f"{flag} expects name=value, got {text!r}")
+    try:
+        return name.strip(), _finite_float(value)
+    except argparse.ArgumentTypeError as exc:
+        raise InputError(f"{flag} {text!r}: {exc}") from None
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -501,9 +524,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a catalogued model or saved formula")
     p.add_argument("--model", help="catalog model id, e.g. an-discovered-3")
     p.add_argument("--formula", help="graph JSON or discovery report.json")
-    p.add_argument("--E", type=float, help="surface gradient, kV/cm")
-    p.add_argument("--n", type=float, help="subconductor count")
-    p.add_argument("--d", type=float, help="subconductor diameter, cm")
+    p.add_argument("--E", type=_finite_float, help="surface gradient, kV/cm")
+    p.add_argument("--n", type=_finite_float, help="subconductor count")
+    p.add_argument("--d", type=_finite_float, help="subconductor diameter, cm")
     p.add_argument("--set", action="append",
                    help="extra variable for --formula, name=value")
     p.set_defaults(fn=cmd_eval)
@@ -512,12 +535,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["an", "ri"], required=True)
     p.add_argument("--geometry", required=True, help="geometry JSON path")
     p.add_argument("--model", required=True, help="catalog model id")
-    p.add_argument("--c-coef", dest="c_coef", type=float, default=None,
+    p.add_argument("--c-coef", dest="c_coef", type=_finite_float, default=None,
                    help="AN propagation coefficient (default 11.4 for "
                         "discovered models, 10 otherwise)")
-    p.add_argument("--f-ri", dest="f_ri", type=float, default=None,
+    p.add_argument("--f-ri", dest="f_ri", type=_finite_float, default=None,
                    help="RI frequency, Hz (default 0.5 MHz)")
-    p.add_argument("--rho", type=float, default=None,
+    p.add_argument("--rho", type=_finite_float, default=None,
                    help="earth resistivity, Ohm*m (default 100)")
     p.add_argument("--combination", choices=["cispr", "power-sum"],
                    default="cispr", help="phase combination rule for RI")

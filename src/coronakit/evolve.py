@@ -1,8 +1,8 @@
 """Genetic-programming search over expression graphs.
 
 retain-then-vary loop: the best half of each scored generation survives
-unmodified, the other half is refreshed (fresh template draws, survivor
-crossover, mutation) and rescored.  All randomness flows from
+unmodified, the other half is refreshed (survivor crossover or fresh
+template draws, then mutation) and rescored.  All randomness flows from
 per-generation streams derived from the run seed, and scoring is
 rng-free, so a run is a pure function of its inputs and seed.
 
@@ -214,13 +214,9 @@ def rank(population: list[Individual]) -> list[Individual]:
     return sorted(population, key=_rank_key)
 
 
-def select(scored: list[Individual], config: GPConfig, variables,
-           rng) -> list[Individual]:
-    """Keep the best half, refill to population size with fresh randoms."""
-    survivors = rank(scored)[:config.population_size // 2]
-    refill = [Individual(random_graph(config, variables, rng))
-              for _ in range(config.population_size - len(survivors))]
-    return survivors + refill
+def select(scored: list[Individual], config: GPConfig) -> list[Individual]:
+    """The best half of the population, in rank order."""
+    return rank(scored)[:config.population_size // 2]
 
 
 # ---------------------------------------------------------------------------
@@ -334,26 +330,26 @@ def _equation_entry(rank_no: int, expression: str, ind: Individual) -> dict:
 
 def _next_generation(ranked: list[Individual], config: GPConfig, variables,
                      rng) -> list[Individual]:
-    selected = select(ranked, config, variables, rng)
-    half = config.population_size // 2
-    survivors, refill = selected[:half], selected[half:]
+    """Survivors, then offspring two at a time: a crossover of two
+    survivors or, failing the crossover draw, fresh candidates; each
+    offspring may then mutate."""
+    survivors = select(ranked, config)
     varied: list[Individual] = []
-    pos = 0
-    while pos < len(refill):
-        pair = refill[pos:pos + 2]
-        if rng.random() < config.crossover_prob and survivors:
+    for pos in range(len(survivors), config.population_size, 2):
+        k = min(2, config.population_size - pos)
+        if rng.random() < config.crossover_prob:
             i = int(rng.integers(len(survivors)))
             j = int(rng.integers(len(survivors)))
             t1, t2 = crossover(survivors[i].terms, survivors[j].terms, rng,
                                n_swap=config.crossover_terms)
-            offspring = [t1, t2][:len(pair)]
+            offspring = [t1, t2][:k]
         else:
-            offspring = [ind.terms for ind in pair]
+            offspring = [random_graph(config, variables, rng)
+                         for _ in range(k)]
         for terms in offspring:
             if rng.random() < config.mutation_prob:
                 terms = mutate(terms, config, variables, rng)
             varied.append(Individual(terms))
-        pos += 2
     return survivors + varied
 
 

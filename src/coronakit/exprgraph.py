@@ -541,7 +541,11 @@ def validate(graph: ExprGraph, max_terms: int | None = None) -> list[Violation]:
     for e in graph.edges:
         child = graph.node(e.child)
         parent = graph.node(e.parent)
-        if child.kind == LOG:
+        if not math.isfinite(e.feature):
+            out.append(Violation(
+                "edge-feature",
+                f"edge {e.parent}->{e.child} feature {e.feature} is not finite"))
+        elif child.kind == LOG:
             if not any(abs(e.feature - b) < 1e-9 for b in LOG_BASES):
                 out.append(Violation(
                     "edge-feature", f"log base {e.feature} not in (10, e)"))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from coronakit import cli, exprgraph
+from coronakit import cli, exprgraph, models
 
 
 def write_eq8_csv(path):
@@ -176,6 +176,48 @@ class TestDiscover:
         assert not (tmp_path / "out").exists()
 
 
+def exit_code(argv) -> int:
+    """cli.main's exit code, including argparse's own usage errors."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--kind", "ri", "--f-ri", "nan"],
+    ["predict", "--kind", "ri", "--f-ri", "inf"],
+    ["predict", "--kind", "ri", "--f-ri", "1e400"],
+    ["predict", "--kind", "ri", "--rho", "nan"],
+    ["predict", "--kind", "an", "--c-coef", "nan"],
+    ["eval", "--model", "ri-cispr", "--E", "nan", "--n", "8", "--d", "2.4"],
+    ["eval", "--model", "ri-cispr", "--E", "20", "--n", "inf", "--d", "2.4"],
+    ["eval", "--model", "ri-cispr", "--E", "20", "--n", "8", "--d=-inf"],
+    ["eval", "--formula", "GRAPH", "--set", "E=nan", "--set", "n=8",
+     "--set", "d=2.4"],
+    ["curves", "--model", "an-bpa", "--sweep", "E=nan:20:3",
+     "--fixed", "n=8", "--fixed", "d=2.4"],
+    ["curves", "--model", "an-bpa", "--sweep", "E=10:1e400:3",
+     "--fixed", "n=8", "--fixed", "d=2.4"],
+    ["curves", "--model", "an-bpa", "--sweep", "E=10:20:3",
+     "--fixed", "n=inf", "--fixed", "d=2.4"],
+], ids=["f_ri-nan", "f_ri-inf", "f_ri-overflow", "rho-nan", "c_coef-nan",
+        "E-nan", "n-inf", "d-minus-inf", "set-nan", "sweep-nan",
+        "sweep-overflow", "fixed-inf"])
+def test_non_finite_number_flag_exits_2(tmp_path, capsys, argv):
+    graph = tmp_path / "graph.json"
+    graph.write_text(exprgraph.graph_to_json(
+        models.discovered_graph("an-discovered-3")), encoding="utf-8")
+    geometry = write_geometry(tmp_path / "geom.json", THREE_PHASES)
+    argv = [str(graph) if a == "GRAPH" else a for a in argv]
+    if argv[0] == "predict":
+        model = "ri-discovered-4" if argv[2] == "ri" else "an-discovered-3"
+        argv += ["--geometry", str(geometry), "--model", model]
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "finite" in err
+
+
 class TestEval:
     def test_ri_model_spot(self, capsys):
         assert cli.main(["eval", "--model", "ri-cispr", "--E", "20",
@@ -225,6 +267,67 @@ class TestEval:
         printed = capsys.readouterr().out.strip()
         want = exprgraph.evaluate(graph, {"E": 20.0, "n": 8.0, "d": 2.4})
         assert printed == f"{want:.3f} dB"
+
+
+def e_squared_graph(**changes):
+    """2*E^2 as graph JSON, with top-level keys replaced by ``changes``."""
+    payload = {
+        "nodes": [{"id": 0, "kind": "add"}, {"id": 1, "kind": "mul"},
+                  {"id": 2, "kind": "pow"}, {"id": 3, "kind": "var",
+                                             "name": "E"}],
+        "edges": [{"from": 0, "to": 1, "feature": 2.0},
+                  {"from": 1, "to": 2, "feature": 2.0},
+                  {"from": 2, "to": 3, "feature": 1.0}],
+        "root": 0,
+    }
+    payload.update(changes)
+    return payload
+
+
+class TestFormulaFile:
+    def eval_exit(self, tmp_path, payload):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return cli.main(["eval", "--formula", str(path), "--E", "20",
+                         "--n", "8", "--d", "2.4"])
+
+    def test_well_formed_graph_evaluates(self, tmp_path, capsys):
+        assert self.eval_exit(tmp_path, e_squared_graph()) == 0
+        assert capsys.readouterr().out.strip() == "800.000 dB"
+
+    @pytest.mark.parametrize("law", sorted(models.GRAPH_FORMS))
+    def test_catalog_graphs_load(self, tmp_path, law):
+        path = tmp_path / "law.json"
+        path.write_text(exprgraph.graph_to_json(models.discovered_graph(law)),
+                        encoding="utf-8")
+        assert cli.load_formula(path).to_dict() == \
+            models.discovered_graph(law).to_dict()
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"edges": e_squared_graph()["edges"]
+          + [{"from": 1, "to": 5, "feature": 1.0}]}, "unknown node"),
+        ({"edges": e_squared_graph()["edges"]
+          + [{"from": 1, "to": 1, "feature": 1.0}]}, "cycle"),
+        ({"nodes": [{"kind": "add"}]}, "KeyError"),
+        ({"nodes": "x"}, "TypeError"),
+        ({"nodes": e_squared_graph()["nodes"][:3]
+          + [{"id": 3, "kind": "sin", "name": "E"}]}, "unknown node kind"),
+        ({"nodes": [{"id": 0, "kind": "add"}, {"id": 2, "kind": "pow"},
+                    {"id": 3, "kind": "var", "name": "E"}],
+          "edges": [{"from": 0, "to": 2, "feature": 2.0},
+                    {"from": 2, "to": 3, "feature": 1.0}]}, "root child 2"),
+        ({"edges": [{"from": 0, "to": 1, "feature": "two"}]}, "ValueError"),
+        ({"edges": [{"from": 0, "to": 1, "feature": math.nan}]
+          + e_squared_graph()["edges"][1:]}, "not finite"),
+        ({"root": [0]}, "TypeError"),
+    ], ids=["dangling-edge", "self-loop", "node-without-id", "nodes-not-list",
+            "unknown-kind", "pow-under-root", "feature-not-number",
+            "feature-nan", "root-unhashable"])
+    def test_malformed_graph_exits_2(self, tmp_path, capsys, changes, message):
+        assert self.eval_exit(tmp_path, e_squared_graph(**changes)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
 
 
 class TestPredict:

@@ -230,17 +230,15 @@ class TestSelect:
         cfg = GPConfig(population_size=10, max_terms=3)
         pop = [scored(t) for t in (7.0, 2.0, 9.0, 1.0, 5.0, 10.0, 3.0, 8.0,
                                    4.0, 6.0)]
-        out = select(pop, cfg, VARS, np.random.default_rng(0))
-        assert len(out) == 10
+        out = select(pop, cfg)
         survivors = out[:5]
         assert sorted(i.loss.total for i in survivors) == [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert all(not i.scored for i in out[5:])
 
     def test_all_infinite_is_deterministic(self):
         cfg = GPConfig(population_size=4, max_terms=3)
         pop = [scored(math.inf, n_terms=k) for k in (3, 1, 2, 1)]
-        out_a = select(list(pop), cfg, VARS, np.random.default_rng(1))
-        out_b = select(list(pop), cfg, VARS, np.random.default_rng(1))
+        out_a = select(list(pop), cfg)
+        out_b = select(list(pop), cfg)
         assert [id(i) for i in out_a[:2]] == [id(i) for i in out_b[:2]]
         # tie rule: fewer nodes first, then insertion order
         assert out_a[0] is pop[1] and out_a[1] is pop[3]
@@ -249,6 +247,33 @@ class TestSelect:
         small = scored(1.0, n_terms=1)
         big = scored(1.0, n_terms=3)
         assert rank([big, small])[0] is small
+
+
+class TestNextGeneration:
+    # population 10: five survivors, so the last offspring slot holds one;
+    # at crossover_prob 0.5 this stream crosses one of the two pairs
+    @pytest.mark.parametrize("crossover_prob,fresh",
+                             [(0.0, 5), (0.5, 3), (1.0, 0)])
+    def test_draws_only_the_candidates_it_keeps(self, monkeypatch,
+                                                crossover_prob, fresh):
+        drawn = []
+
+        def recording(config, variables, rng):
+            terms = random_graph(config, variables, rng)
+            drawn.append(terms)
+            return terms
+
+        monkeypatch.setattr(evolve, "random_graph", recording)
+        cfg = GPConfig(population_size=10, max_terms=3, mutation_prob=0.0,
+                       crossover_prob=crossover_prob)
+        ranked = rank([scored(float(t), n_terms=1 + t % 3) for t in range(10)])
+        out = evolve._next_generation(ranked, cfg, VARS,
+                                      np.random.default_rng(1))
+        assert len(out) == 10
+        assert all(a is b for a, b in zip(out[:5], ranked[:5]))
+        assert len(drawn) == fresh
+        offspring = [ind.terms for ind in out[5:]]
+        assert all(any(terms is d for terms in offspring) for d in drawn)
 
 
 class TestClosure:

@@ -1,11 +1,14 @@
 """Golden discovery reports: seeded runs whose report.json must not change.
 
-The files in tests/data/golden/ were written by the search as it stood
-before candidates became tuples of terms with a shared term-column cache.
-Each test re-runs one search and compares the bytes, so any change to a
-search decision (RNG consumption, fitted coefficients, losses, ranking,
-dedup) shows up here.  A failure means the program changed behaviour: fix
-the program, do not rewrite the files.
+The files in tests/data/golden/ were first written before candidates
+became tuples of terms with a shared term-column cache, and re-captured
+once, when a generation step stopped drawing fresh candidates it then
+discarded: a fresh candidate is now drawn only in an offspring slot that
+loses the crossover draw, so every seeded run consumes its random stream
+differently.  Each test re-runs one search and compares the bytes, so any
+change to a search decision (RNG consumption, fitted coefficients, losses,
+ranking, dedup) shows up here.  Any other failure means the program
+changed behaviour: fix the program, do not rewrite the files.
 """
 
 from pathlib import Path
