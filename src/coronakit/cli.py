@@ -307,6 +307,12 @@ def cmd_eval(args) -> int:
         return 0
     graph = load_formula(args.formula)
     assignment = _assignment_from_args(args)
+    unbound = sorted(graph.variables() - set(assignment))
+    if unbound:
+        raise InputError(
+            "the formula uses " + ", ".join(map(repr, unbound))
+            + ", not bound on the command line: give each with --E, --n, "
+            "--d or --set NAME=VALUE")
     value = exprgraph.evaluate(graph, assignment)
     print(f"{value:.3f} dB")
     return 0

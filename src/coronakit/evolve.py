@@ -230,10 +230,10 @@ def _score_population(population, scorer: objective.TermScorer,
     Rejected candidates keep their coefficients; with ``dedup`` every
     individual whose rendering repeats a better-ranked one is rejected.
     """
-    for ind in population:
-        if ind.scored:
-            continue
-        coefs, breakdown = scorer.score(tuple(term for term, _ in ind.terms))
+    pending = [ind for ind in population if not ind.scored]
+    results = scorer.score_batch([tuple(term for term, _ in ind.terms)
+                                  for ind in pending])
+    for ind, (coefs, breakdown) in zip(pending, results):
         if coefs is not None:
             ind.terms = tuple((term, coef)
                               for (term, _), coef in zip(ind.terms, coefs))

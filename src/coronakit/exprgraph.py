@@ -49,14 +49,16 @@ CONST_TERM = "const"
 TEMPLATE_KINDS = (POLY_TERM, RATIONAL_TERM, LOG_TERM, CONST_TERM)
 
 
-@dataclass(frozen=True)
+# Slotted, since scoring assembles the missing terms of up to a whole
+# generation into one graph of thousands of nodes and edges.
+@dataclass(frozen=True, slots=True)
 class Node:
     id: int
     kind: str
     name: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     parent: int
     child: int
@@ -231,8 +233,9 @@ def _safe_pow(base, exponent):
     return out
 
 
-def _eval_root(graph: ExprGraph, env: dict) -> np.ndarray:
-    """Evaluate the graph over an environment of arrays (or 0-d scalars)."""
+def _evaluator(graph: ExprGraph, env: dict):
+    """``(node_value, edge_value)`` over an environment of arrays (or 0-d
+    scalars), sharing one cache of node values."""
     cache: dict[int, object] = {}
 
     def node_value(nid):
@@ -278,6 +281,12 @@ def _eval_root(graph: ExprGraph, env: dict) -> np.ndarray:
             value = edge.feature * value
         return value
 
+    return node_value, edge_value
+
+
+def _eval_root(graph: ExprGraph, env: dict) -> np.ndarray:
+    """Evaluate the graph over an environment of arrays (or 0-d scalars)."""
+    node_value, _ = _evaluator(graph, env)
     return node_value(graph.root)
 
 
@@ -415,21 +424,18 @@ def evaluate_batch(graph: ExprGraph, data) -> tuple[np.ndarray, np.ndarray]:
 def term_values(graph: ExprGraph, data) -> tuple[np.ndarray, np.ndarray]:
     """Design matrix of per-term values with outer coefficients forced to 1.
 
-    Column j holds the value of root child j.  Returns ``(matrix, row_ok)``
-    where ``row_ok`` flags rows on which every term is finite.
+    Column j holds the value of root child j, formed as the root of a
+    one-term graph would form it: ``0.0 + 1.0 * child``.  Each term is
+    walked with its own cache, so the work is linear in the graph size and
+    no term's intermediates outlive its column.  Returns ``(matrix,
+    row_ok)`` where ``row_ok`` flags rows on which every term is finite.
     """
     env = _column_env(data)
-    n = _row_count(env)
-    inner = [e for e in graph.edges if e.parent != graph.root]
-    columns = []
-    for e in graph.term_edges:
-        sub = ExprGraph(graph.nodes, [Edge(graph.root, e.child, 1.0)] + inner,
-                        graph.root)
-        col = np.asarray(_eval_root(sub, env), dtype=float)
-        if col.ndim == 0:
-            col = np.full(n, float(col))
-        columns.append(col)
-    matrix = np.column_stack(columns) if columns else np.empty((n, 0))
+    matrix = np.empty((_row_count(env), graph.term_count))
+    for j, e in enumerate(graph.term_edges):
+        _, edge_value = _evaluator(graph, env)
+        value = edge_value(Edge(graph.root, e.child, 1.0), ADD)
+        matrix[:, j] = np.float64(0.0) + value
     row_ok = np.all(np.isfinite(matrix), axis=1)
     return matrix, row_ok
 
@@ -521,6 +527,8 @@ def validate(graph: ExprGraph, max_terms: int | None = None) -> list[Violation]:
             out.append(Violation("arity", f"leaf node {n.id} has children"))
         elif n.kind not in NODE_KINDS:
             out.append(Violation("structure", f"unknown node kind {n.kind!r}"))
+        if n.kind == VAR and not (isinstance(n.name, str) and n.name):
+            out.append(Violation("structure", f"var node {n.id} has no name"))
 
     root_node = graph.node(graph.root)
     if root_node.kind != ADD:

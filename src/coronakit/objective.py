@@ -122,41 +122,33 @@ def _stacked_env(regions: list[dict]) -> dict:
             for name in names}
 
 
-def _least_squares(matrix: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares root coefficients of a design matrix and their R^2.
+def _sweep_penalties(sweeps: np.ndarray, coefs: np.ndarray,
+                     specs: list[MonotonicitySpec]) -> np.ndarray:
+    """Squared-hinge penalty of each fitted sum along the stacked sweeps.
 
-    Rank-deficient designs take the minimum-norm solution.  Raises
-    RejectedCandidateError when any row has a non-finite term value.
-    """
-    row_ok = np.all(np.isfinite(matrix), axis=1)
-    if not row_ok.all():
-        raise RejectedCandidateError(
-            f"{int((~row_ok).sum())} rows with non-finite term values")
-    coefs, _, _, _ = np.linalg.lstsq(matrix, y, rcond=None)
-    return coefs, r_squared(y, matrix @ coefs)
-
-
-def _sweep_penalty(columns, coefs, start: int,
-                   specs: list[MonotonicitySpec]) -> float:
-    """Squared-hinge penalty of the fitted sum along the stacked sweeps.
-
-    ``columns[j][start:]`` holds term j over every spec's grid in turn.  The
-    sum is formed left to right from 0.0, exactly as evaluating the graph
-    does, so the penalty is bit-identical to sweeping the graph itself.
+    ``sweeps[b, j]`` holds term j of candidate b over every spec's grid in
+    turn, and ``coefs[b, j]`` is its coefficient.  Each sum is formed left
+    to right from 0.0, exactly as evaluating the graph does, and each
+    spec's hinge terms are reduced per candidate along axis 1, so every
+    penalty is bit-identical to sweeping that candidate's graph alone.  A
+    candidate whose sweep is non-finite anywhere gets +inf.
     """
     sweep = np.float64(0.0)
-    for coef, column in zip(coefs, columns):
-        sweep = sweep + coef * column[start:]
-    total = 0.0
+    for j in range(sweeps.shape[1]):
+        sweep = sweep + coefs[:, j, None] * sweeps[:, j]
+    total = np.zeros(len(sweeps))
+    finite = np.ones(len(sweeps), dtype=bool)
+    start = 0
     for spec in specs:
-        values = sweep[:spec.grid]
-        sweep = sweep[spec.grid:]
-        if not np.isfinite(values).all():
-            return INF
-        steps = np.diff(values)
+        values = sweep[:, start:start + spec.grid]
+        start += spec.grid
+        finite &= np.isfinite(values).all(axis=1)
+        # steps of a non-finite sweep are discarded below
+        with np.errstate(invalid="ignore"):
+            steps = np.diff(values, axis=1)
         violation = np.maximum(0.0, -spec.sign * steps)
-        total += float(np.sum(violation ** 2))
-    return total
+        total += np.sum(violation ** 2, axis=1)
+    return np.where(finite, total, INF)
 
 
 #: bound on the term columns one TermScorer keeps, in bytes of column data
@@ -169,11 +161,17 @@ class TermScorer:
     Each distinct term is evaluated once, over the dataset rows stacked with
     every spec's sweep grid, and its column is kept in an LRU cache of at
     most COLUMN_CACHE_BYTES: one preallocated block whose rows are reused on
-    eviction, so the cache neither grows nor fragments the heap.  The design
-    matrix is gathered from the cached row blocks and each sweep is the
-    fitted sum of the cached sweep blocks.  A score depends only on the
-    terms, never on the cache's state, so eviction cannot change a
-    result.
+    eviction, so the cache neither grows nor fragments the heap.  Next to
+    each column the cache keeps one flag: whether the term is finite on
+    every data row.
+
+    ``score_batch`` takes candidates in chunks whose distinct terms fit the
+    block, evaluates a chunk's missing terms in one call, and evicts only
+    columns the chunk does not use.  Each candidate is then fitted on its
+    own, by ``lstsq`` on its design matrix, and the fitted candidates' sweeps
+    are stacked by term count.  A score depends only on the terms, never
+    on the cache's state or on the other candidates, so neither eviction
+    nor chunking can change a result.
     """
 
     def __init__(self, data: Dataset, specs: list[MonotonicitySpec],
@@ -181,6 +179,7 @@ class TermScorer:
         if lambda_mono <= 0:
             raise ValueError("lambda_mono must be positive")
         self.y = data.y
+        self.ss_tot = float(np.sum((self.y - self.y.mean()) ** 2))
         self.n_rows = data.n_rows
         self.specs = list(specs)
         self.lambda_mono = lambda_mono
@@ -189,58 +188,131 @@ class TermScorer:
         stacked = self.n_rows + sum(spec.grid for spec in self.specs)
         capacity = max(1, COLUMN_CACHE_BYTES // (8 * stacked))
         self._block = np.empty((capacity, stacked))
+        #: per row of _block: is the term finite on every data row
+        self._finite = np.empty(capacity, dtype=bool)
         #: term key -> row of _block, least recently used first
         self._slots: OrderedDict[str, int] = OrderedDict()
 
-    def columns(self, terms) -> np.ndarray:
-        """Value column of each term, one per row, evaluating only the
-        uncached terms.  The result is the caller's own copy."""
+    def _chunks(self, keyed):
+        """Indices of consecutive candidates whose distinct terms fit the
+        block; a candidate with more distinct terms than the block holds
+        forms a chunk of its own."""
+        capacity = len(self._block)
+        chunk, seen = [], set()
+        for i, keys in enumerate(keyed):
+            new = set(keys) - seen
+            if chunk and len(seen) + len(new) > capacity:
+                yield chunk
+                chunk, seen, new = [], set(), set(keys)
+            chunk.append(i)
+            seen |= new
+        if chunk:
+            yield chunk
+
+    def _load(self, terms: dict):
+        """Columns of ``terms`` (key -> term), evaluating the uncached ones
+        in one call.  Returns ``(columns, finite, row)``: term ``key`` is
+        ``columns[row[key]]``, finite on every data row if
+        ``finite[row[key]]``.  They stay valid until the next call."""
         slots = self._slots
-        keys = [term.key for term in terms]
-        out = np.empty((len(keys), self._block.shape[1]))
         missing = {}
-        for j, key in enumerate(keys):
-            slot = slots.get(key)
-            if slot is None:
-                missing.setdefault(key, terms[j])
-            else:
+        for key, term in terms.items():
+            if key in slots:
                 slots.move_to_end(key)
-                out[j] = self._block[slot]
+            else:
+                missing[key] = term
+        fresh = np.empty((0, self._block.shape[1]))
         if missing:
             graph = exprgraph.from_terms([(term, 1.0)
                                           for term in missing.values()])
-            matrix, _ = exprgraph.term_values(graph, self.env)
-            fresh = dict(zip(missing, matrix.T))
-            for j, key in enumerate(keys):
-                if key in fresh:
-                    out[j] = fresh[key]
-            for key, column in fresh.items():
-                if len(slots) < len(self._block):
-                    slot = len(slots)
-                else:
-                    _, slot = slots.popitem(last=False)
-                self._block[slot] = column
-                slots[key] = slot
+            fresh = exprgraph.term_values(graph, self.env)[0].T
+        fresh_ok = np.isfinite(fresh[:, :self.n_rows]).all(axis=1)
+        if len(terms) <= len(self._block):
+            # The chunk's cached columns were just touched, so the evictions
+            # below take only columns it does not use.
+            self._store(missing, fresh, fresh_ok)
+            row = {key: slots[key] for key in terms}
+            return self._block, self._finite, row
+        # Storing these misses evicts some of the chunk's own columns, so
+        # it is read from a copy.
+        cached = [key for key in terms if key not in missing]
+        at = [slots[key] for key in cached]
+        columns = np.concatenate([self._block[at], fresh])
+        finite = np.concatenate([self._finite[at], fresh_ok])
+        self._store(missing, fresh, fresh_ok)
+        row = {key: i for i, key in enumerate(cached + list(missing))}
+        return columns, finite, row
+
+    def _store(self, keys, columns, finite) -> None:
+        """Cache fresh columns, evicting the least recently used."""
+        slots = self._slots
+        for key, column, ok in zip(keys, columns, finite):
+            if len(slots) < len(self._block):
+                slot = len(slots)
+            else:
+                _, slot = slots.popitem(last=False)
+            self._block[slot] = column
+            self._finite[slot] = ok
+            slots[key] = slot
+
+    def score_batch(self, candidates) -> list[tuple[list[float] | None,
+                                                    LossBreakdown]]:
+        """Fitted root coefficients (None when rejected) and the loss of
+        each sequence of terms, in order.
+
+        A candidate is rejected when any of its terms is non-finite on a
+        data row.  Raises DegenerateTargetError when a candidate is fitted
+        to a target whose values are all equal.
+        """
+        keyed = [[term.key for term in terms] for terms in candidates]
+        out = [None] * len(keyed)
+        for chunk in self._chunks(keyed):
+            terms = {}
+            for i in chunk:
+                for key, term in zip(keyed[i], candidates[i]):
+                    terms.setdefault(key, term)
+            columns, finite, row = self._load(terms)
+            fitted = {}
+            for i in chunk:
+                rows = [row[key] for key in keyed[i]]
+                if not finite[rows].all():
+                    out[i] = (None, LossBreakdown.rejected())
+                    continue
+                coefs, r2 = self._fit(columns[rows, :self.n_rows].T)
+                fitted.setdefault(len(rows), []).append((i, rows, coefs, r2))
+            for group in fitted.values():
+                self._losses(columns, group, out)
         return out
+
+    def _fit(self, design: np.ndarray) -> tuple[np.ndarray, float]:
+        """Least-squares coefficients of one (rows, k) design matrix and
+        their R^2.  Rank-deficient designs take the minimum-norm solution."""
+        if self.ss_tot == 0.0:
+            raise DegenerateTargetError("all target values are equal")
+        matrix = np.ascontiguousarray(design)
+        coefs = np.linalg.lstsq(matrix, self.y, rcond=None)[0]
+        ss_res = float(np.sum((self.y - matrix @ coefs) ** 2))
+        return coefs, 1.0 - ss_res / self.ss_tot
+
+    def _losses(self, columns, group, out) -> None:
+        """Losses of fitted candidates with one term count, into ``out``;
+        ``group`` holds ``(index, rows, coefs, r2)`` per candidate."""
+        sweeps = columns[np.array([rows for _, rows, _, _ in group]),
+                         self.n_rows:]
+        penalties = _sweep_penalties(
+            sweeps, np.array([coefs for _, _, coefs, _ in group]), self.specs)
+        for (i, _, coefs, r2), l_mono in zip(group, penalties):
+            l_acc, l_mono = 1.0 - r2, float(l_mono)
+            total = (INF if math.isinf(l_mono)
+                     else l_acc + self.lambda_mono * l_mono)
+            out[i] = ([float(c) for c in coefs],
+                      LossBreakdown(l_acc=l_acc, l_mono=l_mono, total=total,
+                                    r2=r2))
 
     def score(self, terms) -> tuple[list[float] | None, LossBreakdown]:
         """Fitted root coefficients (None when rejected) and the loss of a
         sequence of terms."""
-        columns = self.columns(terms)
-        n = self.n_rows
-        try:
-            coefs, r2 = _least_squares(
-                np.ascontiguousarray(columns[:, :n].T), self.y)
-        except RejectedCandidateError:
-            return None, LossBreakdown.rejected()
-        coefs = [float(c) for c in coefs]
-        l_acc = 1.0 - r2
-        l_mono = _sweep_penalty(columns, coefs, n, self.specs)
-        if math.isinf(l_mono):
-            return coefs, LossBreakdown(l_acc=l_acc, l_mono=INF, total=INF, r2=r2)
-        return coefs, LossBreakdown(l_acc=l_acc, l_mono=l_mono,
-                                    total=l_acc + self.lambda_mono * l_mono,
-                                    r2=r2)
+        return self.score_batch([terms])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +327,12 @@ def fit_coefficients(graph: exprgraph.ExprGraph,
     RejectedCandidateError when any row has a non-finite term value and
     DegenerateTargetError when SS_tot is zero.
     """
-    matrix, _ = exprgraph.term_values(graph, data)
-    coefs, r2 = _least_squares(matrix, data.y)
-    return exprgraph.with_coefficients(graph, coefs), r2
+    scorer = TermScorer(data, [], 1.0)
+    coefs, breakdown = scorer.score(
+        [term for term, _ in exprgraph.graph_terms(graph)])
+    if coefs is None:
+        raise RejectedCandidateError("a term is non-finite on some data row")
+    return exprgraph.with_coefficients(graph, coefs), breakdown.r2
 
 
 def accuracy_loss(graph: exprgraph.ExprGraph, data: Dataset) -> float:
@@ -279,7 +354,8 @@ def monotonicity_loss(graph: exprgraph.ExprGraph,
         return 0.0
     env = _stacked_env([_sweep_env(spec) for spec in specs])
     matrix, _ = exprgraph.term_values(graph, env)
-    return _sweep_penalty(matrix.T, exprgraph.coefficients(graph), 0, specs)
+    coefs = np.array([exprgraph.coefficients(graph)])
+    return float(_sweep_penalties(matrix.T[None], coefs, specs)[0])
 
 
 def total_loss(graph: exprgraph.ExprGraph, data: Dataset,

@@ -329,6 +329,28 @@ class TestFormulaFile:
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
 
+    def test_unbound_variable_exits_2(self, tmp_path, capsys):
+        # 2*E^2 + x: neither E nor x is given
+        payload = e_squared_graph(
+            nodes=e_squared_graph()["nodes"] + [{"id": 4, "kind": "var",
+                                                  "name": "x"}],
+            edges=e_squared_graph()["edges"] + [{"from": 0, "to": 4,
+                                                  "feature": 1.0}])
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert cli.main(["eval", "--formula", str(path), "--n", "8"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'E', 'x'" in err
+        assert cli.main(["eval", "--formula", str(path), "--E", "20",
+                         "--set", "x=1"]) == 0
+        assert capsys.readouterr().out.strip() == "801.000 dB"
+
+    def test_nameless_variable_exits_2(self, tmp_path, capsys):
+        nodes = e_squared_graph()["nodes"][:3] + [{"id": 3, "kind": "var"}]
+        assert self.eval_exit(tmp_path, e_squared_graph(nodes=nodes)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "var node 3 has no name" in err
+
 
 class TestPredict:
     def test_an_three_phase_energy_sum(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from coronakit import exprgraph, models
 from coronakit.errors import NonFiniteError, UnboundVariableError
+from coronakit.evolve import GPConfig, mutate, random_graph
 from coronakit.exprgraph import (
     ADD,
     CONST,
@@ -158,6 +159,31 @@ class TestTermValues:
         assert ok.all() and finite.all()
         coefs = np.array([e.feature for e in g.term_edges])
         np.testing.assert_allclose(values, matrix @ coefs, rtol=1e-12)
+
+    def test_many_terms_match_one_term_graphs_bit_for_bit(self):
+        # zeros and negatives make logs and reciprocals non-finite
+        env = {"E": np.array([-2.0, 0.0, 1e-12, 0.5, 3.0, 1e200]),
+               "n": np.array([4.0, -1.0, 0.0, 2.0, 1e-300, 7.0])}
+        config = GPConfig(max_terms=4)
+        rng = np.random.default_rng(3)
+        terms = []
+        for _ in range(60):
+            candidate = random_graph(config, ["E", "n"], rng)
+            for _ in range(int(rng.integers(0, 4))):
+                candidate = mutate(candidate, config, ["E", "n"], rng)
+            terms += [term for term, _ in candidate]
+        graph = exprgraph.from_terms([(term, 1.0) for term in terms])
+        with np.errstate(invalid="ignore"):  # inf * 0 in a product
+            matrix, ok = term_values(graph, env)
+            assert matrix.shape == (6, len(terms))
+            for j, term in enumerate(terms):
+                # the root of a one-term graph with coefficient 1 forms the
+                # column as 0.0 + 1.0 * term
+                alone = exprgraph.from_terms([(term, 1.0)])
+                want = np.broadcast_to(exprgraph._eval_root(alone, env), (6,))
+                assert matrix[:, j].tobytes() == want.tobytes()
+        assert list(ok) == list(np.isfinite(matrix).all(axis=1))
+        assert not ok.all() and np.isnan(matrix).any()
 
 
 class TestRender:

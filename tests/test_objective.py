@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coronakit import exprgraph, objective
+from coronakit import evolve, exprgraph, objective
 from coronakit.data import Dataset, load_dataset
 from coronakit.errors import (
     DatasetFormatError,
@@ -291,6 +291,116 @@ class TestTermScorer:
             assert tight.score(terms) == expected
             assert len(tight._slots) == 1
         assert len(roomy._slots) == len({t for c in candidates for t in c})
+
+
+def reference_score(terms, data, specs, lambda_mono):
+    """``TermScorer.score`` computed by the per-candidate reference loop."""
+    graph = exprgraph.from_terms([(term, 1.0) for term in terms])
+    breakdown = reference_breakdown(graph, data, specs, lambda_mono)
+    if breakdown == LossBreakdown.rejected():
+        return None, breakdown
+    matrix, _ = exprgraph.term_values(graph, data)
+    coefs = np.linalg.lstsq(matrix, data.y, rcond=None)[0]
+    return [float(c) for c in coefs], breakdown
+
+
+def an_grid():
+    """The 90-row noiseless AN grid of the discover-mono benchmark."""
+    E, n, d = (a.ravel() for a in np.meshgrid(
+        np.arange(12.0, 31.0, 2.0), [4.0, 6.0, 8.0], [2.0, 2.4, 3.0]))
+    y = 1.022 * n + 10.4 * d + 30.839 - 933.633 / E
+    return make_dataset(E=E, n=n, d=d, y=y)
+
+
+def noisy_rows():
+    """5,000 RI-style rows with N(0, 0.5) noise, as in discover-rows."""
+    rng = np.random.default_rng(5)
+    E = rng.uniform(12.0, 32.0, 5000)
+    n = rng.integers(2, 17, 5000).astype(float)
+    d = rng.uniform(1.5, 4.0, 5000)
+    y = 6.51 * d + 10.287 * np.log10(n) + 55.22 - 671.7 / E
+    return make_dataset(E=E, n=n, d=d, y=y + rng.normal(0.0, 0.5, 5000))
+
+
+def batch_candidates(data, specs, count=2000):
+    """``count`` random candidates with 0-3 mutations each, and among them
+    the edge cases: constants only, a duplicated term (both rank-deficient
+    designs), a pole on a data row and, with specs, a pole on a sweep."""
+    variables = ["E", "n", "d"]
+    config = evolve.GPConfig(max_terms=4)
+    rng = np.random.default_rng(17)
+    out = []
+    for _ in range(count):
+        candidate = evolve.random_graph(config, variables, rng)
+        for _ in range(int(rng.integers(0, 4))):
+            candidate = evolve.mutate(candidate, config, variables, rng)
+        out.append(tuple(term for term, _ in candidate))
+    pole = float(data.columns["E"][0])
+    edges = [
+        [term for term, _ in exprgraph.graph_terms(
+            EDGE_CANDIDATES["constants only"][0])],
+        (out[0][0], out[1][0], out[0][0]),
+        [term for term, _ in exprgraph.graph_terms(
+            exprgraph.parse(f"2*d + 1*(-E + {pole!r})^-1"))],
+    ]
+    if specs:
+        lo = specs[0].domain[0]
+        edges.append([term for term, _ in exprgraph.graph_terms(
+            exprgraph.parse(f"2*n + 1*(-E + {lo!r})^-1"))])
+    for k, edge in enumerate(edges):
+        out.insert(k * count // len(edges), tuple(edge))
+    return out
+
+
+def mono_setup():
+    data = an_grid()
+    return data, [default_monotonicity_spec(data, v, +1)
+                  for v in ("E", "n", "d")]
+
+
+#: benchmark workload -> (data, specs) like the one it searches
+SETUPS = {"discover-mono": mono_setup,
+          "discover-rows": lambda: (noisy_rows(), [])}
+
+
+class TestScoreBatch:
+    """One ``score_batch`` call against the per-candidate reference loop,
+    exactly: batching may change no bit of any fit or loss."""
+
+    @pytest.mark.parametrize("setup", sorted(SETUPS))
+    def test_matches_reference_loop(self, setup, monkeypatch):
+        data, specs = SETUPS[setup]()
+        candidates = batch_candidates(data, specs)
+        want = [reference_score(terms, data, specs, 0.01)
+                for terms in candidates]
+        scorer = objective.TermScorer(data, specs, 0.01)
+        assert scorer.score_batch(candidates) == want
+        assert any(coefs is None for coefs, _ in want)
+        swept_to_inf = [coefs is not None and math.isinf(loss.total)
+                        for coefs, loss in want]
+        assert any(swept_to_inf) == bool(specs)
+        # a one-column block: every candidate with two distinct terms or
+        # more is scored from a copy of its columns
+        stacked_rows = data.n_rows + sum(spec.grid for spec in specs)
+        monkeypatch.setattr(objective, "COLUMN_CACHE_BYTES", 8 * stacked_rows)
+        tight = objective.TermScorer(data, specs, 0.01)
+        assert tight.score_batch(candidates[:300]) == want[:300]
+        assert len(tight._slots) == 1
+
+    def test_edge_candidates_in_one_batch(self):
+        data = TestTermScorer().data()
+        specs = [TestTermScorer().spec((1.0, 1e150)),
+                 TestTermScorer().spec((0.5, 2.0))]
+        candidates = [[term for term, _ in exprgraph.graph_terms(graph)]
+                      for graph, _ in EDGE_CANDIDATES.values()]
+        want = [reference_score(terms, data, specs, 0.01)
+                for terms in candidates]
+        scorer = objective.TermScorer(data, specs, 0.01)
+        assert scorer.score_batch(candidates) == want
+        # finite, swept to inf and rejected, in EDGE_CANDIDATES' order
+        assert [(coefs is None, math.isinf(loss.total))
+                for coefs, loss in want] == [(False, False), (False, True),
+                                             (True, True)]
 
 
 class TestDefaultSpec:
