@@ -42,6 +42,10 @@ _MONO_KEYS = {"var", "sign", "domain", "grid"}
 #: range into one alphabet entry per integer
 MAX_EXPONENT = 10
 
+#: largest monotonicity 'grid'; each grid point is one more row of every
+#: term column the scorer evaluates and caches
+MAX_GRID = 1000
+
 _RATE_NAMES = ("edge_feature", "subgraph_replace", "add_remove")
 _WEIGHT_NAMES = ("poly", "rational", "log", "const")
 
@@ -152,8 +156,10 @@ def load_run_config(path) -> dict:
                      f"{path}: monotonicity domain must be finite [lo, hi]")
             domain = (float(domain[0]), float(domain[1]))
         grid = item.get("grid", objective.DEFAULT_GRID)
-        _require(isinstance(grid, int) and grid >= 2,
-                 f"{path}: monotonicity grid must be an integer >= 2")
+        _require(isinstance(grid, int) and not isinstance(grid, bool)
+                 and 2 <= grid <= MAX_GRID,
+                 f"{path}: monotonicity grid must be an integer in "
+                 f"[2, {MAX_GRID}]")
         specs.append({"var": item["var"], "sign": int(item["sign"]),
                       "domain": domain, "grid": grid})
     cfg["monotonicity"] = specs

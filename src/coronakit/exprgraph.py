@@ -49,8 +49,8 @@ CONST_TERM = "const"
 TEMPLATE_KINDS = (POLY_TERM, RATIONAL_TERM, LOG_TERM, CONST_TERM)
 
 
-# Slotted, since scoring assembles the missing terms of up to a whole
-# generation into one graph of thousands of nodes and edges.
+# Slotted, since every term of every candidate in a population carries
+# its own nodes and edges.
 @dataclass(frozen=True, slots=True)
 class Node:
     id: int
@@ -233,19 +233,34 @@ def _safe_pow(base, exponent):
     return out
 
 
-def _evaluator(graph: ExprGraph, env: dict):
-    """``(node_value, edge_value)`` over an environment of arrays (or 0-d
-    scalars), sharing one cache of node values."""
-    cache: dict[int, object] = {}
+class _Walk:
+    """One evaluation of a graph over an environment of arrays (or 0-d
+    scalars), with its own cache of node values.
 
-    def node_value(nid):
-        if nid in cache:
-            return cache[nid]
+    ``powers``, when given, maps ``(variable name, exponent)`` to
+    ``_safe_pow(env[name], exponent)``: wherever a pow node sits directly
+    over a var node the walk reads that column, or computes and stores it.
+    The walk holds no closures and no reference to itself, so it and every
+    intermediate array it made are freed as soon as the caller drops it.
+    """
+
+    __slots__ = ("graph", "env", "powers", "cache")
+
+    def __init__(self, graph: ExprGraph, env: dict, powers: dict | None = None):
+        self.graph = graph
+        self.env = env
+        self.powers = powers
+        self.cache: dict[int, object] = {}
+
+    def node_value(self, nid):
+        if nid in self.cache:
+            return self.cache[nid]
+        graph = self.graph
         node = graph.node(nid)
         kind = node.kind
         if kind == VAR:
             try:
-                value = env[node.name]
+                value = self.env[node.name]
             except KeyError:
                 raise UnboundVariableError(node.name) from None
         elif kind == CONST:
@@ -253,41 +268,52 @@ def _evaluator(graph: ExprGraph, env: dict):
         elif kind == ADD:
             value = np.float64(0.0)
             for e in graph.children(nid):
-                value = value + edge_value(e, ADD)
+                value = value + self.edge_value(e, ADD)
         elif kind == MUL:
             value = np.float64(1.0)
             for e in graph.children(nid):
-                value = value * edge_value(e, MUL)
+                value = value * self.edge_value(e, MUL)
         else:
             # pow/log values depend on the incoming edge; a valid graph
             # never asks for them directly
             raise ValueError(f"cannot evaluate bare {kind} node {nid}")
-        cache[nid] = value
+        self.cache[nid] = value
         return value
 
-    def inner_value(nid):
-        # value of the single operand edge of a pow/log node
-        sole = graph.children(nid)[0]
-        return edge_value(sole, graph.node(nid).kind)
-
-    def edge_value(edge, parent_kind):
-        child = graph.node(edge.child)
-        if child.kind == POW:
-            return _safe_pow(inner_value(edge.child), edge.feature)
-        if child.kind == LOG:
-            return _safe_log(inner_value(edge.child)) / np.log(edge.feature)
-        value = node_value(edge.child)
+    def edge_value(self, edge, parent_kind):
+        graph = self.graph
+        kind = graph.node(edge.child).kind
+        if kind == POW or kind == LOG:
+            sole = graph.children(edge.child)[0]  # the single operand
+            if kind == LOG:
+                return (_safe_log(self.edge_value(sole, LOG))
+                        / np.log(edge.feature))
+            operand = graph.node(sole.child)
+            if self.powers is None or operand.kind != VAR:
+                return _safe_pow(self.edge_value(sole, POW), edge.feature)
+            key = (operand.name, edge.feature)
+            column = self.powers.get(key)
+            if column is None:
+                column = _safe_pow(self.node_value(sole.child), edge.feature)
+                self.powers[key] = column
+            return column
+        value = self.node_value(edge.child)
         if parent_kind == ADD:
             value = edge.feature * value
         return value
 
-    return node_value, edge_value
-
 
 def _eval_root(graph: ExprGraph, env: dict) -> np.ndarray:
     """Evaluate the graph over an environment of arrays (or 0-d scalars)."""
-    node_value, _ = _evaluator(graph, env)
-    return node_value(graph.root)
+    return _Walk(graph, env).node_value(graph.root)
+
+
+def _term_column(graph: ExprGraph, head: int, env: dict,
+                 powers: dict | None = None):
+    """Values of the term under ``head``, formed as the root of a one-term
+    graph with coefficient 1 forms them: ``0.0 + 1.0 * term``."""
+    value = _Walk(graph, env, powers).edge_value(Edge(None, head, 1.0), ADD)
+    return np.float64(0.0) + value
 
 
 def evaluate(graph: ExprGraph, assignment: dict) -> float:
@@ -433,11 +459,27 @@ def term_values(graph: ExprGraph, data) -> tuple[np.ndarray, np.ndarray]:
     env = _column_env(data)
     matrix = np.empty((_row_count(env), graph.term_count))
     for j, e in enumerate(graph.term_edges):
-        _, edge_value = _evaluator(graph, env)
-        value = edge_value(Edge(graph.root, e.child, 1.0), ADD)
-        matrix[:, j] = np.float64(0.0) + value
+        matrix[:, j] = _term_column(graph, e.child, env)
     row_ok = np.all(np.isfinite(matrix), axis=1)
     return matrix, row_ok
+
+
+def fragment_values(fragments, data, powers: dict | None = None) -> np.ndarray:
+    """Values of each TermFragment, one row per fragment, formed exactly as
+    ``term_values`` forms the column of the same term in an assembled graph.
+
+    ``powers`` is a cache of variable powers kept by the caller across
+    calls, keyed by ``(variable name, exponent)``: each entry is that
+    power of the variable's column in ``data``, guarded as every power is,
+    so a dict may be passed again only with the same data.  It gains one
+    entry per distinct pair that the fragments raise a variable to.
+    """
+    env = _column_env(data)
+    out = np.empty((len(fragments), _row_count(env)))
+    for i, fragment in enumerate(fragments):
+        view = ExprGraph(fragment.nodes, fragment.edges, fragment.head)
+        out[i] = _term_column(view, fragment.head, env, powers)
+    return out
 
 
 def coefficients(graph: ExprGraph) -> list[float]:

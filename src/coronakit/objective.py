@@ -163,7 +163,12 @@ class TermScorer:
     most COLUMN_CACHE_BYTES: one preallocated block whose rows are reused on
     eviction, so the cache neither grows nor fragments the heap.  Next to
     each column the cache keeps one flag: whether the term is finite on
-    every data row.
+    every data row.  Terms are evaluated straight from their fragments, and
+    each power of a variable that a term takes is computed once per run
+    and kept, one column per (variable, exponent) pair.  A search draws
+    its exponents from the alphabet, plus the -1 of a rational template's
+    extra reciprocal, so it keeps at most |variables| x (|alphabet| + 1)
+    columns.
 
     ``score_batch`` takes candidates in chunks whose distinct terms fit the
     block, evaluates a chunk's missing terms in one call, and evicts only
@@ -192,6 +197,8 @@ class TermScorer:
         self._finite = np.empty(capacity, dtype=bool)
         #: term key -> row of _block, least recently used first
         self._slots: OrderedDict[str, int] = OrderedDict()
+        #: (variable, exponent) -> that power of the variable over self.env
+        self._powers: dict[tuple[str, float], np.ndarray] = {}
 
     def _chunks(self, keyed):
         """Indices of consecutive candidates whose distinct terms fit the
@@ -221,11 +228,8 @@ class TermScorer:
                 slots.move_to_end(key)
             else:
                 missing[key] = term
-        fresh = np.empty((0, self._block.shape[1]))
-        if missing:
-            graph = exprgraph.from_terms([(term, 1.0)
-                                          for term in missing.values()])
-            fresh = exprgraph.term_values(graph, self.env)[0].T
+        fresh = exprgraph.fragment_values(list(missing.values()), self.env,
+                                          self._powers)
         fresh_ok = np.isfinite(fresh[:, :self.n_rows]).all(axis=1)
         if len(terms) <= len(self._block):
             # The chunk's cached columns were just touched, so the evictions

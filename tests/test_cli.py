@@ -160,8 +160,10 @@ class TestDiscover:
         {"lambda_mono": math.inf},
         {"monotonicity": [{"var": "E", "sign": "+1", "domain": [1, math.inf]}]},
         {"exponent_range": [-3, cli.MAX_EXPONENT + 1]},
+        {"monotonicity": [{"var": "E", "sign": "+1",
+                           "grid": cli.MAX_GRID + 1}]},
     ], ids=["seed-negative", "rates-nan", "weights-inf", "lambda-inf",
-            "domain-inf", "exponent-beyond-limit"])
+            "domain-inf", "exponent-beyond-limit", "grid-beyond-limit"])
     def test_out_of_range_number_exits_2(self, tmp_path, capsys, override):
         assert self.discover_exit(tmp_path, **override) == 2
         assert "error:" in capsys.readouterr().err

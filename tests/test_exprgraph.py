@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -109,6 +110,26 @@ class TestEvaluateBatch:
         assert round(float(values[0]), 3) == 44.832
 
 
+def poles_env():
+    """Six rows on which zeros and negatives make logs and reciprocals
+    non-finite."""
+    return {"E": np.array([-2.0, 0.0, 1e-12, 0.5, 3.0, 1e200]),
+            "n": np.array([4.0, -1.0, 0.0, 2.0, 1e-300, 7.0])}
+
+
+def mutated_terms():
+    """The terms of 60 random candidates over E and n, mutated 0-3 times."""
+    config = GPConfig(max_terms=4)
+    rng = np.random.default_rng(3)
+    terms = []
+    for _ in range(60):
+        candidate = random_graph(config, ["E", "n"], rng)
+        for _ in range(int(rng.integers(0, 4))):
+            candidate = mutate(candidate, config, ["E", "n"], rng)
+        terms += [term for term, _ in candidate]
+    return terms
+
+
 class TestTermValues:
     def test_var_and_log_columns(self):
         g = graph_of((5.0, power_fragment(("x", 1))),
@@ -161,17 +182,7 @@ class TestTermValues:
         np.testing.assert_allclose(values, matrix @ coefs, rtol=1e-12)
 
     def test_many_terms_match_one_term_graphs_bit_for_bit(self):
-        # zeros and negatives make logs and reciprocals non-finite
-        env = {"E": np.array([-2.0, 0.0, 1e-12, 0.5, 3.0, 1e200]),
-               "n": np.array([4.0, -1.0, 0.0, 2.0, 1e-300, 7.0])}
-        config = GPConfig(max_terms=4)
-        rng = np.random.default_rng(3)
-        terms = []
-        for _ in range(60):
-            candidate = random_graph(config, ["E", "n"], rng)
-            for _ in range(int(rng.integers(0, 4))):
-                candidate = mutate(candidate, config, ["E", "n"], rng)
-            terms += [term for term, _ in candidate]
+        env, terms = poles_env(), mutated_terms()
         graph = exprgraph.from_terms([(term, 1.0) for term in terms])
         with np.errstate(invalid="ignore"):  # inf * 0 in a product
             matrix, ok = term_values(graph, env)
@@ -184,6 +195,58 @@ class TestTermValues:
                 assert matrix[:, j].tobytes() == want.tobytes()
         assert list(ok) == list(np.isfinite(matrix).all(axis=1))
         assert not ok.all() and np.isnan(matrix).any()
+
+
+    def test_fragments_match_assembled_graph_bit_for_bit(self):
+        env, terms = poles_env(), mutated_terms()
+        graph = exprgraph.from_terms([(term, 1.0) for term in terms])
+        powers = {}
+        with np.errstate(invalid="ignore"):  # inf * 0 in a product
+            want = term_values(graph, env)[0].T.tobytes()
+            plain = exprgraph.fragment_values(terms, env)
+            cold = exprgraph.fragment_values(terms, env, powers)
+            filled = dict(powers)
+            # a warm cache, read in another term order
+            warm = exprgraph.fragment_values(terms[::-1], env, powers)[::-1]
+        for got in (plain, cold, warm):
+            assert got.shape == (len(terms), 6)
+            assert got.tobytes() == want
+        # the warm call computed no power again
+        assert powers.keys() == filled.keys()
+        assert all(powers[key] is filled[key] for key in filled)
+        assert set(powers) == {(name, float(exp)) for name in ("E", "n")
+                               for exp in GPConfig().exponent_alphabet}
+        # the cache holds the guarded column: NaN where |E| < DENOM_GUARD
+        assert list(np.isnan(powers[("E", -1.0)])) == [False, True, False,
+                                                        False, False, False]
+
+
+class TestNoCyclicGarbage:
+    """Evaluation frees its intermediates by reference counting: no call
+    leaves objects that only the cyclic collector reclaims."""
+
+    @pytest.mark.parametrize("call", ["evaluate", "evaluate_batch",
+                                      "term_values", "fragment_values"])
+    def test_call_leaves_no_cycles(self, call):
+        graph = models.discovered_graph("an-discovered-5")
+        env = {"E": np.linspace(10.0, 30.0, 50), "n": np.full(50, 4.0),
+               "d": np.full(50, 2.4)}
+        fragments = [term for term, _ in exprgraph.graph_terms(graph)]
+        calls = {
+            "evaluate": lambda: evaluate(graph, {"E": 20.0, "n": 4.0,
+                                                 "d": 2.4}),
+            "evaluate_batch": lambda: evaluate_batch(graph, env),
+            "term_values": lambda: term_values(graph, env),
+            "fragment_values": lambda: exprgraph.fragment_values(
+                fragments, env, {}),
+        }
+        gc.collect()
+        gc.disable()
+        try:
+            calls[call]()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestRender:

@@ -403,6 +403,46 @@ class TestScoreBatch:
                                              (True, True)]
 
 
+    @pytest.mark.parametrize("setup", sorted(SETUPS))
+    def test_warm_power_cache_changes_no_score(self, setup):
+        data, specs = SETUPS[setup]()
+        candidates = batch_candidates(data, specs)
+        fresh = objective.TermScorer(data, specs, 0.01)
+        want = fresh.score_batch(candidates)
+        # one column per (variable, exponent) pair the terms use
+        alphabet = evolve.GPConfig().exponent_alphabet
+        assert set(fresh._powers) <= {(name, float(exp))
+                                      for name in data.variables
+                                      for exp in alphabet}
+        assert 0 < len(fresh._powers) <= len(data.variables) * len(alphabet)
+        # warmed on the batch in reverse, so that the terms it still has
+        # to evaluate find every power cached
+        warm = objective.TermScorer(data, specs, 0.01)
+        warm.score_batch(candidates[::-1])
+        powers = dict(warm._powers)
+        assert warm.score_batch(candidates) == want
+        assert all(warm._powers[key] is powers[key] for key in powers)
+        assert any(coefs is None for coefs, _ in want)  # the data-row pole
+
+    def test_cached_pole_column_rejects_alike(self):
+        data = TestTermScorer().data()  # x = 0 on the first row
+        specs = [TestTermScorer().spec((0.5, 2.0))]
+        candidates = [
+            [term for term, _ in exprgraph.graph_terms(exprgraph.parse(text))]
+            for text in ("1*x^-1 + 1", "1*x^-1*x^2 + 1*x^3",
+                         "1*(x^-1 + 2)^-1 + 1*x", "1*x^2 + 1")]
+        warm = objective.TermScorer(data, specs, 0.01)
+        warm.score(candidates[0])
+        # the guarded 1/x, NaN on the x = 0 row, is the column cached
+        assert np.isnan(warm._powers[("x", -1.0)][0])
+        for terms in candidates[1:]:
+            want = reference_score(terms, data, specs, 0.01)
+            assert warm.score(terms) == want
+            assert objective.TermScorer(data, specs, 0.01).score(terms) == want
+        assert [warm.score(terms)[0] is None for terms in candidates] \
+            == [True, True, True, False]
+
+
 class TestDefaultSpec:
     def test_domain_and_nominals(self):
         data = make_dataset(E=[10.0, 20.0, 30.0], n=[4.0, 6.0, 8.0],
