@@ -79,7 +79,11 @@ def load_run_config(path) -> dict:
     _require(isinstance(variables, list) and variables
              and all(isinstance(v, str) for v in variables),
              f"{path}: 'variables' must be a non-empty list of names")
+    _require(len(set(variables)) == len(variables),
+             f"{path}: 'variables' lists a name twice")
     _require(isinstance(raw["target"], str), f"{path}: 'target' must be a name")
+    _require(raw["target"] not in variables,
+             f"{path}: target {raw['target']!r} is also listed in 'variables'")
 
     cfg = {"variables": variables, "target": raw["target"]}
 
@@ -148,6 +152,8 @@ def load_run_config(path) -> dict:
                  f"{path}: monotonicity sign must be '+1' or '-1'")
         _require(item["var"] in variables,
                  f"{path}: monotonicity variable {item['var']!r} not in variables")
+        _require(all(spec["var"] != item["var"] for spec in specs),
+                 f"{path}: two monotonicity entries on {item['var']!r}")
         domain = item.get("domain")
         if domain is not None:
             _require(isinstance(domain, list) and len(domain) == 2

@@ -12,6 +12,8 @@ ExprGraph is assembled from it only for the report and the predictions.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -81,17 +83,20 @@ Candidate = tuple[tuple[exprgraph.TermFragment, float], ...]
 
 @dataclass
 class Individual:
+    """A candidate and its loss.  Scoring replaces its coefficients, never
+    its terms, so its node count is counted once."""
+
     terms: Candidate
     loss: objective.LossBreakdown | None = None
+    node_count: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.node_count = 1 + sum(len(term.nodes) for term, _ in self.terms)
 
     @property
     def graph(self) -> exprgraph.ExprGraph:
         """The candidate as an expression graph, assembled on demand."""
         return exprgraph.from_terms(self.terms)
-
-    @property
-    def node_count(self) -> int:
-        return 1 + sum(len(term.nodes) for term, _ in self.terms)
 
     @property
     def scored(self) -> bool:
@@ -102,10 +107,39 @@ class Individual:
 # population operators
 # ---------------------------------------------------------------------------
 
+#: the tolerance of ``Generator.choice`` on the sum of its probabilities
+_P_SUM_TOLERANCE = math.sqrt(np.finfo(np.float64).eps)
+
+
+@functools.lru_cache(maxsize=16)
+def choice_table(p: tuple[float, ...]) -> tuple[float, ...]:
+    """The cdf that ``rng.choice(len(p), p=p)`` bisects: the cumulative sum
+    of ``p`` divided by its last entry, computed as numpy computes it.
+    Raises ValueError for the probabilities that ``choice`` rejects."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or not p.size or not (p >= 0).all() \
+            or not abs(p.sum() - 1.0) <= _P_SUM_TOLERANCE:
+        raise ValueError("probabilities must be nonnegative and sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return tuple(float(c) for c in cdf)
+
+
+def draw_index(table: tuple[float, ...], rng) -> int:
+    """``int(rng.choice(len(p), p=p))`` for ``table = choice_table(p)``:
+    the same index from the same single uniform draw."""
+    return bisect.bisect_right(table, rng.random())
+
+
+@functools.lru_cache(maxsize=16)
+def _template_table(weights: tuple[float, ...]) -> tuple[float, ...]:
+    weights = np.asarray(weights, dtype=float)
+    return choice_table(tuple(weights / weights.sum()))
+
+
 def sample_term(config: GPConfig, variables, rng) -> exprgraph.TermFragment:
-    weights = np.asarray(config.template_weights, dtype=float)
-    weights = weights / weights.sum()
-    kind = exprgraph.TEMPLATE_KINDS[int(rng.choice(4, p=weights))]
+    table = _template_table(tuple(config.template_weights))
+    kind = exprgraph.TEMPLATE_KINDS[draw_index(table, rng)]
     return exprgraph.sample_template(kind, variables, rng,
                                      alphabet=config.exponent_alphabet)
 
@@ -123,18 +157,21 @@ def init_population(config: GPConfig, variables, rng) -> list[Individual]:
             for _ in range(config.population_size)]
 
 
-def crossover(a: Candidate, b: Candidate, rng,
-              n_swap: int = 1) -> tuple[Candidate, Candidate]:
+def crossover(a: Candidate, b: Candidate, rng, n_swap: int = 1,
+              identical: bool | None = None) -> tuple[Candidate, Candidate]:
     """Swap root-level terms one-for-one; term counts are preserved.
 
-    Structurally identical parents swap matching positions, so their
-    crossover is an identity operation.
+    Structurally identical parents (equal renderings) swap matching
+    positions, so their crossover is an identity operation.  A caller that
+    has both renderings at hand passes their comparison as ``identical``.
     """
     terms_a, terms_b = list(a), list(b)
     k = min(n_swap, len(terms_a), len(terms_b))
     idx_a = rng.choice(len(terms_a), size=k, replace=False)
     idx_b = rng.choice(len(terms_b), size=k, replace=False)
-    if exprgraph.render_terms(a) == exprgraph.render_terms(b):
+    if identical is None:
+        identical = exprgraph.render_terms(a) == exprgraph.render_terms(b)
+    if identical:
         idx_b = idx_a
     for i, j in zip(idx_a, idx_b):
         terms_a[int(i)], terms_b[int(j)] = terms_b[int(j)], terms_a[int(i)]
@@ -157,19 +194,9 @@ def _mutable_edges(terms: Candidate) -> list[tuple[int, exprgraph.Edge, str]]:
     return out
 
 
-def _with_edge_feature(terms: Candidate, index: int, target: exprgraph.Edge,
-                       feature: float) -> Candidate:
-    term, coef = terms[index]
-    edges = [exprgraph.Edge(e.parent, e.child, feature) if e is target else e
-             for e in term.edges]
-    changed = exprgraph.TermFragment(term.nodes, edges, term.head)
-    return terms[:index] + ((changed, coef),) + terms[index + 1:]
-
-
 def mutate(terms: Candidate, config: GPConfig, variables, rng) -> Candidate:
     """Apply exactly one mutation kind drawn from the configured rates."""
-    rates = np.asarray(config.mutation_rates, dtype=float)
-    kind = int(rng.choice(3, p=rates))
+    kind = draw_index(choice_table(tuple(config.mutation_rates)), rng)
 
     if kind == 0:  # edge feature
         candidates = _mutable_edges(terms)
@@ -185,7 +212,9 @@ def mutate(terms: Candidate, config: GPConfig, variables, rng) -> Candidate:
                     if abs(e.feature - 10.0) < 1e-9 else exprgraph.LOG_BASES[0]
             else:
                 feature = -e.feature
-            return _with_edge_feature(terms, index, e, feature)
+            term, coef = terms[index]
+            changed = (term.with_edge_feature(e, feature), coef)
+            return terms[:index] + (changed,) + terms[index + 1:]
 
     if kind == 1:  # replace one term with a fresh template instance
         index = int(rng.integers(len(terms)))
@@ -334,14 +363,19 @@ def _next_generation(ranked: list[Individual], config: GPConfig, variables,
     survivors or, failing the crossover draw, fresh candidates; each
     offspring may then mutate."""
     survivors = select(ranked, config)
+    rendered: list[str | None] = [None] * len(survivors)
     varied: list[Individual] = []
     for pos in range(len(survivors), config.population_size, 2):
         k = min(2, config.population_size - pos)
         if rng.random() < config.crossover_prob:
             i = int(rng.integers(len(survivors)))
             j = int(rng.integers(len(survivors)))
+            for s in (i, j):  # each survivor is rendered once at most
+                if rendered[s] is None:
+                    rendered[s] = exprgraph.render_terms(survivors[s].terms)
             t1, t2 = crossover(survivors[i].terms, survivors[j].terms, rng,
-                               n_swap=config.crossover_terms)
+                               n_swap=config.crossover_terms,
+                               identical=rendered[i] == rendered[j])
             offspring = [t1, t2][:k]
         else:
             offspring = [random_graph(config, variables, rng)

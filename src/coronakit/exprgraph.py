@@ -165,36 +165,128 @@ class GraphBuilder:
         return TermFragment(self._nodes, self._edges, head)
 
 
+# Template draws and edge mutations share one Node or Edge object per
+# distinct value, together with its text in a fragment's key.  Their
+# features come from the finite template grammar (an exponent alphabet,
+# the log bases, signs), so the tables hold that grammar's atoms and do not
+# grow with a run.  Graphs read from text or JSON carry fitted coefficients
+# and build fresh objects.
+_NODE_ATOMS: dict[tuple, tuple[Node, str]] = {}
+_EDGE_ATOMS: dict[tuple, tuple[Edge, str]] = {}
+
+#: a table is emptied when it reaches this size, which only a process
+#: that draws over very many vocabularies or alphabets does
+ATOM_TABLE_LIMIT = 4096
+
+
+def _node_atom(nid: int, kind: str, name: str | None) -> tuple[Node, str]:
+    """The shared node (nid, kind, name) and its key text."""
+    key = (nid, kind, name)
+    atom = _NODE_ATOMS.get(key)
+    if atom is None:
+        if len(_NODE_ATOMS) >= ATOM_TABLE_LIMIT:
+            _NODE_ATOMS.clear()
+        atom = _NODE_ATOMS[key] = (Node(nid, kind, name), f"{kind}:{name!r}")
+    return atom
+
+
+def _edge_atom(parent: int, child: int, feature: float) -> tuple[Edge, str]:
+    """The shared edge (parent, child, feature) and its key text, which
+    writes the node ids as positions.  A zero feature gets a fresh edge,
+    since 0.0 and -0.0 are one dict key."""
+    key = (parent, child, feature)
+    atom = _EDGE_ATOMS.get(key)
+    if atom is None:
+        atom = (Edge(parent, child, feature), f"{parent}>{child}:{feature!r}")
+        if feature != 0.0:
+            if len(_EDGE_ATOMS) >= ATOM_TABLE_LIMIT:
+                _EDGE_ATOMS.clear()
+            _EDGE_ATOMS[key] = atom
+    return atom
+
+
+class _AtomBuilder(GraphBuilder):
+    """A GraphBuilder over the shared atoms, for template draws.  Node ids
+    are build positions, so the fragment's key is joined from the atoms'
+    texts without formatting anything."""
+
+    def __init__(self):
+        super().__init__()
+        self._node_texts: list[str] = []
+        self._edge_texts: list[str] = []
+
+    def node(self, kind: str, name: str | None = None) -> int:
+        nid = self._next
+        self._next += 1
+        node, text = _node_atom(nid, kind, name)
+        self._nodes.append(node)
+        self._node_texts.append(text)
+        return nid
+
+    def edge(self, parent: int, child: int, feature: float = 1.0) -> None:
+        edge, text = _edge_atom(parent, child, float(feature))
+        self._edges.append(edge)
+        self._edge_texts.append(text)
+
+    def fragment(self, head: int) -> "TermFragment":
+        return TermFragment(self._nodes, self._edges, head,
+                            (*self._node_texts, *self._edge_texts, str(head)))
+
+
 class TermFragment:
     """One root term: its nodes and edges in build order plus its head node.
 
     Immutable by convention and hashable.  Terms compare by ``key``, their
     structure with node ids replaced by build positions, so two equal terms
     evaluate to bit-identical values and assemble into identical graphs.
+    ``texts``, when given, are the key's parts as the ``texts`` property
+    writes them.
     """
 
-    __slots__ = ("nodes", "edges", "head", "_key", "_parts")
+    __slots__ = ("nodes", "edges", "head", "_texts", "_key", "_parts")
 
-    def __init__(self, nodes, edges, head: int):
+    def __init__(self, nodes, edges, head: int, texts=None):
         self.nodes = tuple(nodes)
         self.edges = tuple(edges)
         self.head = head
+        self._texts = texts
         self._key = None
         self._parts = None
 
     @property
-    def key(self) -> str:
-        """Compact structural key, computed on first use.  Names and
-        features are written as Python literals, so the text is
-        unambiguous."""
-        if self._key is None:
+    def texts(self) -> tuple[str, ...]:
+        """The key's parts: one per node, one per edge, then the head's
+        position.  Names and features are written as Python literals, so
+        the text is unambiguous."""
+        if self._texts is None:
             pos = {n.id: i for i, n in enumerate(self.nodes)}
-            self._key = " ".join(
-                [f"{n.kind}:{n.name!r}" for n in self.nodes]
-                + [f"{pos[e.parent]}>{pos[e.child]}:{e.feature!r}"
-                   for e in self.edges]
-                + [str(pos[self.head])])
+            self._texts = (
+                *[f"{n.kind}:{n.name!r}" for n in self.nodes],
+                *[f"{pos[e.parent]}>{pos[e.child]}:{e.feature!r}"
+                  for e in self.edges],
+                str(pos[self.head]))
+        return self._texts
+
+    @property
+    def key(self) -> str:
+        """Compact structural key, computed on first use."""
+        if self._key is None:
+            self._key = " ".join(self.texts)
         return self._key
+
+    def with_edge_feature(self, target: Edge, feature: float) -> "TermFragment":
+        """This term with its edge ``target`` (found by identity) carrying
+        ``feature``.  The new edge is a shared atom, so ``feature`` should
+        be a value of the template grammar, and the new key reuses every
+        other part of this one."""
+        i = next(i for i, e in enumerate(self.edges) if e is target)
+        edge, _ = _edge_atom(target.parent, target.child, float(feature))
+        texts = self.texts
+        at = len(self.nodes) + i
+        text = f"{texts[at].partition(':')[0]}:{edge.feature!r}"
+        return TermFragment(self.nodes,
+                            self.edges[:i] + (edge,) + self.edges[i + 1:],
+                            self.head, texts[:at] + (text,) + texts[at + 1:])
 
     @property
     def render_parts(self) -> tuple:
@@ -929,7 +1021,7 @@ def sample_template(kind: str, variables, rng, alphabet=DEFAULT_ALPHABET) -> Ter
     if not variables:
         raise ValueError("sample_template needs at least one variable")
     alphabet = list(alphabet)
-    b = GraphBuilder()
+    b = _AtomBuilder()
 
     if kind == CONST_TERM:
         return b.fragment(b.node(CONST))

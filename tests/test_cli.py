@@ -169,6 +169,21 @@ class TestDiscover:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ({"target": "E"}, "also listed in 'variables'"),
+        ({"variables": ["E", "n", "d", "n"]}, "lists a name twice"),
+        ({"monotonicity": [{"var": "E", "sign": "+1"},
+                           {"var": "E", "sign": "-1"}]},
+         "two monotonicity entries on 'E'"),
+    ], ids=["target-among-variables", "duplicate-variable",
+            "duplicate-monotonicity"])
+    def test_inconsistent_names_exit_2(self, tmp_path, capsys, override,
+                                       message):
+        assert self.discover_exit(tmp_path, **override) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_must_be_positive(self, tmp_path, capsys, workers):
         with pytest.raises(SystemExit) as exc:

@@ -72,6 +72,51 @@ class TestConfig:
             GPConfig(**kwargs).validate()
 
 
+def normalized(weights):
+    w = np.asarray(weights, dtype=float)
+    return tuple(w / w.sum())
+
+
+class TestWeightedDraw:
+    """A draw from a cdf table is ``rng.choice(len(p), p=p)``: the same
+    index, and the generator left in the same state.  A numpy release that
+    changes how ``Generator.choice`` draws fails here by name."""
+
+    @pytest.mark.parametrize("weights, template", [
+        (GPConfig().template_weights, True),
+        ((0.35, 0.25, 0.0, 0.15), True),
+        (GPConfig().mutation_rates, False),
+        ((1.0, 0.0, 0.0), False),
+        ((0.4, 0.3, 0.3 + 6e-10), False),
+    ], ids=["template-default", "template-no-log", "rates-default",
+            "rates-edge-only", "rates-inexact-sum"])
+    def test_same_index_and_state_as_generator_choice(self, weights,
+                                                      template):
+        # sample_term passes choice the normalized template weights,
+        # mutate the raw mutation rates
+        p = normalized(weights) if template else weights
+        table = evolve._template_table(weights) if template \
+            else evolve.choice_table(weights)
+        assert table == evolve.choice_table(tuple(p))
+        for seed in range(1000):
+            ours = np.random.default_rng(seed)
+            numpy_rng = np.random.default_rng(seed)
+            for _ in range(5):
+                assert evolve.draw_index(table, ours) \
+                    == int(numpy_rng.choice(len(p), p=p))
+            assert ours.bit_generator.state == numpy_rng.bit_generator.state
+
+    def test_inexact_sum_is_a_valid_config(self):
+        rates = (0.4, 0.3, 0.3 + 6e-10)
+        assert sum(rates) != 1.0
+        GPConfig(mutation_rates=rates).validate()
+
+    @pytest.mark.parametrize("p", [(0.5, 0.6), (-0.1, 1.1), ()])
+    def test_rejects_what_generator_choice_rejects(self, p):
+        with pytest.raises(ValueError):
+            evolve.choice_table(p)
+
+
 class TestInitPopulation:
     def test_structure_and_term_bound(self):
         cfg = GPConfig(population_size=10, max_terms=3, seed=0)
@@ -150,6 +195,22 @@ class TestCrossover:
                   for _ in range(5))
         c1, c2 = map(as_graph, crossover(a, b, rng))
         assert (c1.term_count, c2.term_count) == (3, 5)
+
+    def test_identical_flag_is_the_rendering_check(self):
+        rng = np.random.default_rng(5)
+        cfg = GPConfig(max_terms=4)
+        pool = [random_graph(cfg, VARS, rng) for _ in range(6)]
+        pool.append(pool[0])
+        for a in pool:
+            for b in pool:
+                same = exprgraph.render_terms(a) == exprgraph.render_terms(b)
+                seed = int(rng.integers(1 << 30))
+                given = np.random.default_rng(seed)
+                checked = np.random.default_rng(seed)
+                assert crossover(a, b, given, n_swap=2, identical=same) \
+                    == crossover(a, b, checked, n_swap=2)
+                assert given.bit_generator.state \
+                    == checked.bit_generator.state
 
     def test_parents_unmodified(self):
         a = candidate((1.0, power_fragment(("E", 1))))
@@ -274,6 +335,20 @@ class TestNextGeneration:
         assert len(drawn) == fresh
         offspring = [ind.terms for ind in out[5:]]
         assert all(any(terms is d for terms in offspring) for d in drawn)
+
+    def test_renders_each_survivor_once_at_most(self, monkeypatch):
+        rendered, render_terms = [], exprgraph.render_terms
+
+        def recording(terms):
+            rendered.append(terms)
+            return render_terms(terms)
+
+        monkeypatch.setattr(evolve.exprgraph, "render_terms", recording)
+        cfg = GPConfig(population_size=40, max_terms=3, crossover_prob=1.0)
+        ranked = rank([scored(float(t), n_terms=1 + t % 3) for t in range(40)])
+        evolve._next_generation(ranked, cfg, VARS, np.random.default_rng(2))
+        assert rendered
+        assert len(rendered) == len({id(terms) for terms in rendered}) <= 20
 
 
 class TestClosure:

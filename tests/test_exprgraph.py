@@ -350,6 +350,98 @@ class TestSerialization:
         point = {"E": 14.0, "n": 4.0, "d": 3.1}
         assert evaluate(back, point) == evaluate(g, point)
 
+    def test_signed_zero_coefficients_survive(self):
+        g = graph_of((0.0, power_fragment(("E", 1))),
+                     (-0.0, power_fragment(("n", 2))))
+        for back in (exprgraph.ExprGraph.from_dict(g.to_dict()),
+                     graph_from_json(graph_to_json(g))):
+            signs = [math.copysign(1.0, e.feature) for e in back.term_edges]
+            assert signs == [1.0, -1.0]
+
+
+class TestSharedAtoms:
+    """Template draws and edge mutations reuse Node and Edge objects from
+    tables that the template grammar bounds."""
+
+    VARS = ["E", "n", "d"]
+
+    def test_tables_stay_bounded(self, monkeypatch):
+        monkeypatch.setattr(exprgraph, "_NODE_ATOMS", {})
+        monkeypatch.setattr(exprgraph, "_EDGE_ATOMS", {})
+        alphabet = tuple(v for v in range(-10, 11) if v)
+        cfg = GPConfig(exponent_alphabet=alphabet, max_terms=4)
+        edge_only = GPConfig(exponent_alphabet=alphabet,
+                             mutation_rates=(1.0, 0.0, 0.0))
+        rng = np.random.default_rng(0)
+        terms = random_graph(cfg, self.VARS, rng)
+        sizes = []
+        for step in range(20_000):
+            if step % 4 == 0:
+                terms = random_graph(cfg, self.VARS, rng)
+            else:
+                terms = mutate(terms, edge_only, self.VARS, rng)
+            sizes.append((len(exprgraph._NODE_ATOMS),
+                          len(exprgraph._EDGE_ATOMS)))
+        # never emptied, so every atom drawn is still counted
+        assert all(a[0] <= b[0] and a[1] <= b[1]
+                   for a, b in zip(sizes, sizes[1:]))
+        nodes, edges = sizes[-1]
+        # a template has at most 20 nodes, each of 5 kinds or a variable
+        assert nodes <= 20 * (5 + len(self.VARS))
+        # edges pair ids under 20 with a feature of the alphabet, the log
+        # bases or a sign; this stream reaches 634 of them
+        assert edges <= 1000 < exprgraph.ATOM_TABLE_LIMIT
+
+    def test_drawn_keys_are_the_structural_keys(self):
+        rng = np.random.default_rng(6)
+        for _ in range(500):
+            for kind in exprgraph.TEMPLATE_KINDS:
+                frag = sample_template(kind, self.VARS, rng)
+                fresh = exprgraph.TermFragment(frag.nodes, frag.edges,
+                                               frag.head)
+                assert frag.key == fresh.key
+                ((copy, _),) = exprgraph.graph_terms(
+                    exprgraph.from_terms([(frag, 1.0)]))
+                assert copy.key == frag.key and copy == frag
+
+    def test_edge_mutation_replaces_one_edge(self):
+        cfg = GPConfig(mutation_rates=(1.0, 0.0, 0.0))
+        rng = np.random.default_rng(8)
+        changes = 0
+        for _ in range(300):
+            frag = sample_template(exprgraph.RATIONAL_TERM, self.VARS, rng)
+            # a copy with other node ids, as graph_terms returns it
+            moved = exprgraph.graph_terms(exprgraph.from_terms(
+                [(power_fragment(("E", 1)), 1.0), (frag, 1.0)]))[1][0]
+            for parent in (frag, moved):
+                before = (parent.nodes, parent.edges, parent.key)
+                ((child, coef),) = mutate(((parent, 2.0),), cfg, self.VARS,
+                                          rng)
+                assert (parent.nodes, parent.edges, parent.key) == before
+                assert coef == 2.0 and child.nodes == parent.nodes
+                # every other edge is the parent's own object; the drawn
+                # feature may equal the old one
+                assert len(child.edges) == len(parent.edges)
+                replaced = [(a, b) for a, b in zip(parent.edges, child.edges)
+                            if a is not b]
+                assert len(replaced) <= 1
+                for old, new in replaced:
+                    assert (old.parent, old.child) == (new.parent, new.child)
+                    changes += old.feature != new.feature
+                assert child.key == exprgraph.TermFragment(
+                    child.nodes, child.edges, child.head).key
+        assert changes > 300
+
+    def test_zero_features_keep_their_sign(self):
+        frag = power_fragment(("E", 2))
+        target = frag.edges[0]
+        for feature in (0.0, -0.0, 0.0):
+            changed = frag.with_edge_feature(target, feature)
+            assert math.copysign(1.0, changed.edges[0].feature) \
+                == math.copysign(1.0, feature)
+            assert changed.key == exprgraph.TermFragment(
+                changed.nodes, changed.edges, changed.head).key
+
 
 class TestValidate:
     def test_valid_graph(self):
