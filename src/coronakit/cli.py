@@ -237,6 +237,9 @@ def load_geometry(path) -> tuple[propagation.LineGeometry, float, float]:
         for key in item:
             if not _finite(item[key]):
                 fail(f"phase {i}: {key!r} must be a finite number")
+        for key in ("r_sub", "bundle_radius"):
+            if key in item and item[key] <= 0:
+                fail(f"phase {i}: {key!r} must be positive")
         try:
             bundle = models.BundleConfig(E=float(item["E"]), n=float(item["n"]),
                                          d=float(item["d"]))
@@ -360,6 +363,8 @@ def cmd_predict(args) -> int:
         raise InputError(f"model {args.model!r} is a {info.kind} model, "
                          f"not {args.kind}")
     if args.kind == models.AN:
+        if args.explain:
+            raise InputError("--explain applies to --kind ri only")
         prediction = propagation.an_ground_level(geometry, args.model,
                                                  c_coef=args.c_coef)
         print(f"{'phase':>5}  {'R [m]':>8}  {'contribution [dB(A)]':>20}")
@@ -377,7 +382,27 @@ def cmd_predict(args) -> int:
     for i, level in enumerate(prediction.per_phase):
         print(f"{i:>5}  {level:>16.3f}")
     print(f"radio interference: {prediction.level:.3f} dB(µV/m)")
+    if args.explain:
+        explain_ri(prediction)
     return 0
+
+
+def explain_ri(prediction: propagation.RIPrediction) -> None:
+    """Print the modal attenuations, the diagonalization residual, and for
+    each excited phase its conductor-current magnitudes and level."""
+    decomp = prediction.decomposition
+    print(f"{'mode':>5}  {'alpha [Np/m]':>14}")
+    for m, alpha in enumerate(decomp.alpha):
+        print(f"{m:>5}  {alpha:>14.6e}")
+    print(f"diagonalization residual: {decomp.residual:.3e} "
+          f"(tolerance {propagation.MODAL_TOL:g})")
+    conductors = range(len(prediction.per_phase))
+    print(f"{'excited':>7}  {'level [dB(µV/m)]':>16}  "
+          + "  ".join(f"{f'|I_{c}| [A]':>11}" for c in conductors))
+    for i, level in enumerate(prediction.per_phase):
+        print(f"{i:>7}  {level:>16.3f}  "
+              + "  ".join(f"{abs(current):>11.4e}"
+                          for current in prediction.phase_currents[:, i]))
 
 
 def cmd_benchmark(args) -> int:
@@ -562,6 +587,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="earth resistivity, Ohm*m (default 100)")
     p.add_argument("--combination", choices=["cispr", "power-sum"],
                    default="cispr", help="phase combination rule for RI")
+    p.add_argument("--explain", action="store_true",
+                   help="RI only: also print the modal attenuations, the "
+                        "diagonalization residual, and each excited phase's "
+                        "conductor currents and level")
     p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("benchmark", help="RMSE/MRE of models against a dataset")

@@ -38,7 +38,8 @@ class UnboundVariableError(CoronaKitError):
 
 
 class NonFiniteError(CoronaKitError):
-    """Evaluation produced a non-finite value; candidate must be rejected."""
+    """Evaluation produced a non-finite value: a candidate that must be
+    rejected, or a line whose ground field overflows."""
 
 
 class RejectedCandidateError(CoronaKitError):
@@ -61,8 +62,9 @@ class CoincidentPointError(CoronaKitError):
     """Observation point too close to a conductor for the sound-field model."""
 
 
-class GeometryError(CoronaKitError):
-    """Invalid conductor layout (overlap, below ground, ...)."""
+class GeometryError(InputError):
+    """Invalid conductor layout or line parameter (overlap, below ground,
+    non-positive frequency or resistivity, ...)."""
 
 
 class DefectiveMatrixError(CoronaKitError):

@@ -23,6 +23,7 @@ from .errors import (
     CoincidentPointError,
     DefectiveMatrixError,
     GeometryError,
+    NonFiniteError,
     ZeroAttenuationError,
     ZeroFieldError,
 )
@@ -115,10 +116,11 @@ class LineElectricalModel:
 @dataclass
 class ModalDecomposition:
     M: np.ndarray              # right eigenvectors of Z@Y
-    N: np.ndarray              # right eigenvectors of Y@Z
+    N: np.ndarray              # right eigenvectors of Y@Z, Y@M
     eigenvalues: np.ndarray
     gamma: np.ndarray          # sqrt(eigenvalues), Re >= 0 branch
     alpha: np.ndarray          # modal attenuation, Re(gamma)
+    residual: float = 0.0      # off-diagonal norm of M^-1 ZY M over ||ZY||
 
 
 @dataclass
@@ -128,6 +130,9 @@ class RIPrediction:
     e_field: complex           # V/m
     level: float               # dB re 1 uV/m
     per_phase: list[float] = field(default_factory=list)
+    #: conductor currents with phase i excited alone in column i, A
+    phase_currents: np.ndarray | None = None
+    decomposition: ModalDecomposition | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -223,42 +228,42 @@ def build_line_model(geometry: LineGeometry, f_ri: float = DEFAULT_F_RI,
     if len(radii) != len(phases):
         raise GeometryError("one radius per phase required")
     n = len(phases)
-    xs = np.array([p.x for p in phases])
-    hs = np.array([p.h for p in phases])
-    for h in hs:
-        if h <= 0:
-            raise GeometryError("conductors must be above ground")
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = math.hypot(xs[i] - xs[j], hs[i] - hs[j])
-            if gap <= radii[i] + radii[j]:
-                raise GeometryError(f"conductors {i} and {j} overlap")
+    xs = [p.x for p in phases]
+    hs = [p.h for p in phases]
+    if min(hs) <= 0:
+        raise GeometryError("conductors must be above ground")
+    if not min(radii) > 0:
+        raise GeometryError("conductor radii must be positive")
 
     omega = 2.0 * math.pi * f_ri
     p_depth = complex_depth(f_ri, rho)
 
-    pot = np.empty((n, n))
-    z_ext = np.empty((n, n), dtype=complex)
+    # Python scalars: for a handful of conductors numpy's per-item overhead
+    # costs more than the arithmetic.  Squares are products, which overflow
+    # to inf where ``**`` raises OverflowError.
+    pot = [[0.0] * n for _ in range(n)]
+    z_ext = [[0j] * n for _ in range(n)]
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                pot[i, j] = math.log(2.0 * hs[i] / radii[i])
-                z_ext[i, j] = np.log(2.0 * (hs[i] + p_depth) / radii[i])
-            else:
-                direct = math.hypot(xs[i] - xs[j], hs[i] - hs[j])
-                image = math.hypot(xs[i] - xs[j], hs[i] + hs[j])
-                pot[i, j] = math.log(image / direct)
-                image_c = cmath.sqrt((xs[i] - xs[j]) ** 2
-                                     + (hs[i] + hs[j] + 2.0 * p_depth) ** 2)
-                z_ext[i, j] = np.log(image_c / direct)
-    pot /= 2.0 * math.pi * EPS0
-    cap = np.linalg.inv(pot)
+        xi, hi, ri = xs[i], hs[i], radii[i]
+        pot[i][i] = math.log(2.0 * hi / ri)
+        z_ext[i][i] = cmath.log(2.0 * (hi + p_depth) / ri)
+        for j in range(i + 1, n):
+            dx = xi - xs[j]
+            direct = math.hypot(dx, hi - hs[j])
+            if direct <= ri + radii[j]:
+                raise GeometryError(f"conductors {i} and {j} overlap")
+            image = math.hypot(dx, hi + hs[j])
+            depth = hi + hs[j] + 2.0 * p_depth
+            pot[i][j] = pot[j][i] = math.log(image / direct)
+            z_ext[i][j] = z_ext[j][i] = cmath.log(
+                cmath.sqrt(dx * dx + depth * depth) / direct)
+    cap = np.linalg.inv(np.array(pot) / (2.0 * math.pi * EPS0))
     admittance = 1j * omega * cap
-    impedance = 1j * omega * MU0 / (2.0 * math.pi) * z_ext
-    impedance += np.diag([internal_impedance(f_ri, r) for r in radii])
+    impedance = 1j * omega * MU0 / (2.0 * math.pi) * np.array(z_ext)
+    impedance.flat[::n + 1] += [internal_impedance(f_ri, r) for r in radii]
     return LineElectricalModel(Z=impedance, Y=admittance, C=cap, f_ri=f_ri,
                                rho=rho, penetration_depth=p_depth,
-                               positions=list(zip(xs.tolist(), hs.tolist())),
+                               positions=list(zip(xs, hs)),
                                radii=list(radii))
 
 
@@ -266,44 +271,39 @@ def build_line_model(geometry: LineGeometry, f_ri: float = DEFAULT_F_RI,
 # modal analysis and field computation
 # ---------------------------------------------------------------------------
 
-def _sorted_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    values, vectors = np.linalg.eig(matrix)
-    order = np.lexsort((values.imag, values.real))
-    return values[order], vectors[:, order]
-
-
 def modal_decompose(model: LineElectricalModel) -> ModalDecomposition:
-    """Eigendecomposition of ZY and YZ with a shared eigenvalue ordering."""
+    """Eigendecomposition of ZY; the YZ eigenvectors follow as N = Y M.
+
+    If ZY m = w m then YZ (Y m) = Y (ZY m) = w (Y m), so the columns of
+    Y M are eigenvectors of YZ with the same eigenvalues in the same order.
+    """
     zy = model.Z @ model.Y
-    yz = model.Y @ model.Z
-    w_m, m_mat = _sorted_eig(zy)
-    w_n, n_mat = _sorted_eig(yz)
     scale = np.linalg.norm(zy)
     if scale == 0:
         raise DefectiveMatrixError("ZY product is identically zero")
-    if np.max(np.abs(w_m - w_n)) > MODAL_TOL * max(np.max(np.abs(w_m)), 1e-300):
-        raise DefectiveMatrixError("ZY and YZ spectra disagree")
-    for name, mat, vecs, vals in (("ZY", zy, m_mat, w_m), ("YZ", yz, n_mat, w_n)):
-        try:
-            diag = np.linalg.solve(vecs, mat @ vecs)
-        except np.linalg.LinAlgError:
-            raise DefectiveMatrixError(f"{name} eigenvector matrix singular") from None
-        residual = diag - np.diag(np.diag(diag))
-        if np.linalg.norm(residual) > MODAL_TOL * scale:
-            raise DefectiveMatrixError(
-                f"{name} diagonalization residual "
-                f"{np.linalg.norm(residual) / scale:.3e} exceeds {MODAL_TOL}")
-    gamma = np.sqrt(w_m)
+    if not math.isfinite(scale):
+        # an overflowing norm would make every residual read zero
+        raise DefectiveMatrixError(f"ZY norm {scale} is not finite")
+    try:
+        values, vectors = np.linalg.eig(zy)
+        order = np.lexsort((values.imag, values.real))
+        values, vectors = values[order], vectors[:, order]
+        diag = np.linalg.solve(vectors, zy @ vectors)
+    except np.linalg.LinAlgError as exc:
+        raise DefectiveMatrixError(f"ZY eigendecomposition failed: {exc}") from None
+    residual = float(np.linalg.norm(diag - np.diag(diag.diagonal())) / scale)
+    if not residual <= MODAL_TOL:
+        raise DefectiveMatrixError(
+            f"ZY diagonalization residual {residual:.3e} exceeds {MODAL_TOL}")
+    gamma = np.sqrt(values)
     gamma = np.where(gamma.real < 0, -gamma, gamma)
-    return ModalDecomposition(M=m_mat, N=n_mat, eigenvalues=w_m, gamma=gamma,
-                              alpha=gamma.real)
+    return ModalDecomposition(M=vectors, N=model.Y @ vectors, eigenvalues=values,
+                              gamma=gamma, alpha=gamma.real, residual=residual)
 
 
 def excitation_to_linear(gamma_db) -> np.ndarray:
     """dB (re 1 uA/sqrt(m)) excitation to linear A/sqrt(m); -inf maps to 0."""
-    arr = np.asarray(gamma_db, dtype=float)
-    lin = np.where(np.isneginf(arr), 0.0, 10.0 ** (arr / 20.0) * 1e-6)
-    return lin
+    return 10.0 ** (np.asarray(gamma_db, dtype=float) / 20.0) * 1e-6
 
 
 def corona_currents(model: LineElectricalModel, decomposition: ModalDecomposition,
@@ -313,18 +313,19 @@ def corona_currents(model: LineElectricalModel, decomposition: ModalDecompositio
     The injected current density J = C*Gamma/(2*pi*eps0) transforms to modal
     quantities, each mode carries gain 1/sqrt(4*alpha_m) (RMS current of an
     infinite line under uniformly distributed uncorrelated sources), and
-    transforms back.
+    transforms back.  ``gamma_db`` is one excitation of shape (n,) or k of
+    shape (n, k), one per column; the currents have the same shape.
     """
     gamma_lin = excitation_to_linear(gamma_db)
-    if gamma_lin.shape != (len(model.positions),):
-        raise ValueError("excitation vector length must match conductor count")
+    if gamma_lin.ndim not in (1, 2) or len(gamma_lin) != len(model.positions):
+        raise ValueError("excitation must have one row per conductor")
     if np.any(decomposition.alpha <= 0):
         raise ZeroAttenuationError("non-positive modal attenuation")
-    j_vec = model.C @ gamma_lin / (2.0 * math.pi * EPS0)
-    j_modal = np.linalg.solve(decomposition.N, j_vec)
+    j_modal = np.linalg.solve(decomposition.N,
+                              model.C @ gamma_lin / (2.0 * math.pi * EPS0))
     gains = 1.0 / np.sqrt(4.0 * decomposition.alpha)
-    i_modal = gains * j_modal
-    return decomposition.N @ i_modal
+    # transposing puts the mode axis last, where the gains broadcast
+    return decomposition.N @ (gains * j_modal.T).T
 
 
 def ground_field(geometry: LineGeometry, currents,
@@ -333,20 +334,24 @@ def ground_field(geometry: LineGeometry, currents,
     """(H_x, E_y) at ground level below/beside the line.
 
     Each conductor contributes its direct image term minus the
-    complex-depth-shifted return term; E_y = Z0 * H_x.
+    complex-depth-shifted return term; E_y = Z0 * H_x.  ``currents`` of
+    shape (n, k) gives arrays of k fields, one per column.
     """
     currents = np.asarray(currents, dtype=complex)
-    if currents.shape != (len(geometry.phases),):
+    if currents.ndim not in (1, 2) or len(currents) != len(geometry.phases):
         raise ValueError("one current per conductor required")
     if x is None:
         x = geometry.mic_x
     p = penetration_depth
-    h_x = 0j
-    for phase, current in zip(geometry.phases, currents):
-        dx2 = (x - phase.x) ** 2
-        up = (phase.h + p) / (dx2 + (phase.h + p) ** 2)
-        down = (phase.h - p) / (dx2 + (phase.h - p) ** 2)
-        h_x += current / (2.0 * math.pi) * (up - down)
+    # H_x per unit current of each conductor; products, not ``**``, so that
+    # a far conductor overflows to a zero coupling instead of raising
+    coupling = []
+    for phase in geometry.phases:
+        dx2 = (x - phase.x) * (x - phase.x)
+        above, below = phase.h + p, phase.h - p
+        coupling.append((above / (dx2 + above * above)
+                         - below / (dx2 + below * below)) / (2.0 * math.pi))
+    h_x = np.array(coupling, dtype=complex) @ currents
     return h_x, Z0 * h_x
 
 
@@ -355,7 +360,10 @@ def ri_level(e_field: complex) -> float:
     magnitude = abs(e_field)
     if magnitude == 0:
         raise ZeroFieldError("zero electric field")
-    return 20.0 * math.log10(magnitude / 1e-6)
+    level = 20.0 * math.log10(magnitude / 1e-6)
+    if not math.isfinite(level):
+        raise NonFiniteError(f"electric field {e_field} has no finite level")
+    return level
 
 
 def combine_phase_levels(levels: list[float], rule: str = "cispr") -> float:
@@ -381,25 +389,22 @@ def ri_line_prediction(geometry: LineGeometry, model_id: str,
                        combination: str = "cispr") -> RIPrediction:
     """RIEF model -> line model -> modes -> currents -> ground field -> dB.
 
-    Each phase is excited on its own and the per-phase levels are merged by
-    the configured combination rule; the reported field quantities belong
-    to the strongest phase.
+    Each phase is excited on its own, as one column of a single modal
+    solve, and the per-phase levels are merged by the configured
+    combination rule; the reported field quantities belong to the
+    strongest phase (the first, if several tie).
     """
     line = build_line_model(geometry, f_ri=f_ri, rho=rho)
     decomp = modal_decompose(line)
     n = len(geometry.phases)
-    per_phase = []
-    strongest = None
-    for i in range(n):
-        gamma_db = np.full(n, -math.inf)
-        gamma_db[i] = models.ri_excitation(model_id, geometry.phases[i].bundle)
-        currents = corona_currents(line, decomp, gamma_db)
-        h_x, e_y = ground_field(geometry, currents, line.penetration_depth)
-        level = ri_level(e_y)
-        per_phase.append(level)
-        if strongest is None or level > strongest[0]:
-            strongest = (level, currents, h_x, e_y)
-    _, currents, h_x, e_y = strongest
-    return RIPrediction(currents=currents, h_field=h_x, e_field=e_y,
+    excitation = np.full((n, n), -math.inf)
+    for i, phase in enumerate(geometry.phases):
+        excitation[i, i] = models.ri_excitation(model_id, phase.bundle)
+    currents = corona_currents(line, decomp, excitation)
+    h_x, e_y = ground_field(geometry, currents, line.penetration_depth)
+    per_phase = [ri_level(e) for e in e_y]
+    k = per_phase.index(max(per_phase))
+    return RIPrediction(currents=currents[:, k], h_field=h_x[k], e_field=e_y[k],
                         level=combine_phase_levels(per_phase, combination),
-                        per_phase=per_phase)
+                        per_phase=per_phase, phase_currents=currents,
+                        decomposition=decomp)

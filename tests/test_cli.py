@@ -423,6 +423,121 @@ class TestPredict:
         assert cli.main(["predict", "--kind", "ri", "--geometry",
                          str(geometry), "--model", "an-bpa"]) == 2
 
+    def ri_exit(self, tmp_path, phases=THREE_PHASES, flags=(), **extra):
+        geometry = write_geometry(tmp_path / "geom.json", phases, mic_x=20.0,
+                                  **extra)
+        return exit_code(["predict", "--kind", "ri", "--geometry",
+                          str(geometry), "--model", "ri-discovered-4", *flags])
+
+    @pytest.mark.parametrize("key,value", [
+        ("r_sub", 0), ("bundle_radius", 0),
+        ("r_sub", -0.01), ("bundle_radius", -0.3),
+    ])
+    def test_non_positive_radius_exits_2(self, tmp_path, capsys, key, value):
+        phases = [THREE_PHASES[0], dict(THREE_PHASES[1], **{key: value}),
+                  THREE_PHASES[2]]
+        assert self.ri_exit(tmp_path, phases) == 2
+        err = capsys.readouterr().err
+        assert f"phase 1: {key!r} must be positive" in err
+
+    @pytest.mark.parametrize("phases,flags,extra,message", [
+        (THREE_PHASES, [], {"rho": 0}, "resistivity"),
+        (THREE_PHASES, [], {"f_ri": -1}, "frequency"),
+        (THREE_PHASES, ["--rho", "-3"], {}, "resistivity"),
+        (THREE_PHASES, ["--f-ri", "0"], {}, "frequency"),
+        ([THREE_PHASES[0], dict(THREE_PHASES[0], x=-5.9, r_sub=0.1)], [], {},
+         "overlap"),
+        ([THREE_PHASES[0], THREE_PHASES[0]], [], {}, "overlap"),
+    ], ids=["rho-zero", "f_ri-negative", "rho-flag", "f_ri-flag", "overlap",
+            "duplicate"])
+    def test_line_parameter_error_exits_2(self, tmp_path, capsys, phases,
+                                          flags, extra, message):
+        assert self.ri_exit(tmp_path, phases, flags, **extra) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("phases,extra", [
+        ([dict(THREE_PHASES[0], x=1e200)], {}),
+        ([dict(THREE_PHASES[0], h=1e200)], {}),
+        ([dict(THREE_PHASES[0], x=1e200)] + THREE_PHASES[1:], {}),
+        ([dict(THREE_PHASES[0], h=1e200)] + THREE_PHASES[1:], {}),
+        (THREE_PHASES, {"f_ri": 1e300}),
+    ], ids=["x-one-phase", "h-one-phase", "x-three-phases", "h-three-phases",
+            "f_ri"])
+    def test_overflow_exits_1(self, tmp_path, capsys, phases, extra):
+        assert self.ri_exit(tmp_path, phases, **extra) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_extreme_numbers_never_print_non_finite_levels(self, tmp_path,
+                                                          capsys):
+        for n_phases in (1, 3):
+            for key in ("x", "h", "E", "n", "d", "r_sub", "bundle_radius",
+                        "mic_x", "mic_h", "f_ri", "rho"):
+                for value in (1e-300, 1e150, 1e200, 1e300, -1e300):
+                    phases = [dict(p) for p in THREE_PHASES[:n_phases]]
+                    extra = {"mic_x": 20.0}
+                    if key in ("f_ri", "rho", "mic_x", "mic_h"):
+                        extra[key] = value
+                    else:
+                        phases[0][key] = value
+                    geometry = write_geometry(tmp_path / "geom.json", phases,
+                                              **extra)
+                    code = cli.main(["predict", "--kind", "ri", "--geometry",
+                                     str(geometry), "--model",
+                                     "ri-discovered-4"])
+                    out, err = capsys.readouterr()
+                    case = (n_phases, key, value, code, err)
+                    assert code in (0, 1, 2), case
+                    if code == 0:
+                        levels = [float(line.split()[-2 if ":" in line else -1])
+                                  for line in out.splitlines()[1:]]
+                        assert all(math.isfinite(v) for v in levels), case
+                    else:
+                        assert "error: " in err, case
+
+    RI_DEFAULT_OUTPUT = (
+        "phase  level [dB(µV/m)]\n"
+        "    0            51.258\n"
+        "    1            48.243\n"
+        "    2            58.210\n"
+        "radio interference: 58.210 dB(µV/m)\n")
+
+    def test_ri_default_output_is_pinned(self, tmp_path, capsys):
+        assert self.ri_exit(tmp_path) == 0
+        assert capsys.readouterr().out == self.RI_DEFAULT_OUTPUT
+
+    def test_ri_explain(self, tmp_path, capsys):
+        from coronakit import propagation
+
+        assert self.ri_exit(tmp_path, flags=["--explain"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(self.RI_DEFAULT_OUTPUT)
+        lines = out[len(self.RI_DEFAULT_OUTPUT):].splitlines()
+        geometry, f_ri, rho = cli.load_geometry(tmp_path / "geom.json")
+        pred = propagation.ri_line_prediction(geometry, "ri-discovered-4",
+                                              f_ri=f_ri, rho=rho)
+        assert lines[0].split() == ["mode", "alpha", "[Np/m]"]
+        alphas = [float(line.split()[1]) for line in lines[1:4]]
+        assert alphas == pytest.approx(list(pred.decomposition.alpha), rel=1e-6)
+        assert lines[4].startswith("diagonalization residual: ")
+        assert float(lines[4].split()[2]) <= propagation.MODAL_TOL
+        assert "tolerance 1e-08" in lines[4]
+        assert lines[5].split()[:2] == ["excited", "level"]
+        rows = [line.split() for line in lines[6:]]
+        assert len(rows) == 3
+        for i, row in enumerate(rows):
+            assert int(row[0]) == i
+            assert float(row[1]) == pytest.approx(pred.per_phase[i], abs=5e-4)
+            assert [float(v) for v in row[2:]] == pytest.approx(
+                list(abs(pred.phase_currents[:, i])), rel=1e-3)
+
+    def test_explain_is_ri_only(self, tmp_path, capsys):
+        geometry = write_geometry(tmp_path / "geom.json", THREE_PHASES)
+        assert cli.main(["predict", "--kind", "an", "--geometry", str(geometry),
+                         "--model", "an-discovered-3", "--explain"]) == 2
+        assert "--explain" in capsys.readouterr().err
+
 
 class TestBenchmark:
     def test_self_consistency_and_ordering(self, tmp_path, capsys):

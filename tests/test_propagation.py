@@ -1,16 +1,24 @@
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coronakit import models, propagation as pp
+from coronakit import cli, models, propagation as pp
 from coronakit.errors import (
     CoincidentPointError,
+    DefectiveMatrixError,
     GeometryError,
+    InputError,
+    NonFiniteError,
     ZeroAttenuationError,
     ZeroFieldError,
 )
+
+#: the benchmark's predict-ri pool with the levels it checks against
+RI_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "ri_reference.json"
 
 BUNDLE = models.BundleConfig(E=20.0, n=8.0, d=2.4)
 
@@ -133,6 +141,45 @@ class TestLineModel:
         with pytest.raises(GeometryError):
             pp.build_line_model(geom)
 
+    def test_layout_errors_are_input_errors(self):
+        geom = single_line()
+        for kwargs in ({"f_ri": -1.0}, {"rho": 0.0}, {"radii": [0.0]}):
+            with pytest.raises(InputError):
+                pp.build_line_model(geom, **kwargs)
+
+    def test_matches_entrywise_numpy_reference(self):
+        # the line model as it was built with numpy, one entry at a time
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            geom = random_geometry(rng)
+            model = pp.build_line_model(geom)
+            n = len(geom.phases)
+            xs = np.array([p.x for p in geom.phases])
+            hs = np.array([p.h for p in geom.phases])
+            radii = [p.conductor_radius() for p in geom.phases]
+            depth = model.penetration_depth
+            pot = np.empty((n, n))
+            z_ext = np.empty((n, n), dtype=complex)
+            for i in range(n):
+                for j in range(n):
+                    if i == j:
+                        pot[i, j] = math.log(2.0 * hs[i] / radii[i])
+                        z_ext[i, j] = np.log(2.0 * (hs[i] + depth) / radii[i])
+                    else:
+                        direct = math.hypot(xs[i] - xs[j], hs[i] - hs[j])
+                        image = math.hypot(xs[i] - xs[j], hs[i] + hs[j])
+                        pot[i, j] = math.log(image / direct)
+                        image_c = cmath.sqrt((xs[i] - xs[j]) ** 2
+                                             + (hs[i] + hs[j] + 2.0 * depth) ** 2)
+                        z_ext[i, j] = np.log(image_c / direct)
+            omega = 2.0 * math.pi * model.f_ri
+            cap = np.linalg.inv(pot / (2.0 * math.pi * pp.EPS0))
+            z = 1j * omega * pp.MU0 / (2.0 * math.pi) * z_ext \
+                + np.diag([pp.internal_impedance(model.f_ri, r) for r in radii])
+            np.testing.assert_allclose(model.C, cap, rtol=1e-13)
+            np.testing.assert_allclose(model.Y, 1j * omega * cap, rtol=1e-13)
+            np.testing.assert_allclose(model.Z, z, rtol=1e-13)
+
     def test_bundle_equivalent_radius(self):
         bundle = models.BundleConfig(E=20.0, n=4.0, d=3.0)
         p = pp.Phase(x=0.0, h=15.0, bundle=bundle, subconductor_radius=0.015,
@@ -195,6 +242,28 @@ class TestModalDecomposition:
             wn = np.sort_complex(np.linalg.eigvals(yz))
             assert np.max(np.abs(wm - wn)) <= 1e-8 * np.max(np.abs(wm))
 
+    def test_yz_eigenvectors_are_y_times_zy_eigenvectors(self):
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            model = pp.build_line_model(random_geometry(rng))
+            dec = pp.modal_decompose(model)
+            np.testing.assert_array_equal(dec.N, model.Y @ dec.M)
+            zy = model.Z @ model.Y
+            diag = np.linalg.solve(dec.M, zy @ dec.M)
+            off = np.linalg.norm(diag - np.diag(np.diag(diag)))
+            assert dec.residual == pytest.approx(off / np.linalg.norm(zy),
+                                                 rel=1e-12, abs=1e-30)
+            assert dec.residual <= pp.MODAL_TOL
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, 1e300],
+                             ids=["nan", "inf", "norm-overflow"])
+    def test_non_finite_product_is_defective(self, entry):
+        z = np.eye(2, dtype=complex)
+        z[0, 1] = entry
+        with pytest.raises(DefectiveMatrixError):
+            pp.modal_decompose(fake_model(z, np.eye(2)))
+
     def test_gamma_branch_nonnegative_real(self):
         rng = np.random.default_rng(5)
         model = pp.build_line_model(random_geometry(rng))
@@ -235,6 +304,30 @@ class TestCoronaCurrents:
             * gamma_lin / (2.0 * math.pi * pp.EPS0)
         assert currents[0] == pytest.approx(manual, rel=1e-12)
 
+    def test_columns_match_single_excitations(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            geom = random_geometry(rng)
+            n = len(geom.phases)
+            model = pp.build_line_model(geom)
+            dec = pp.modal_decompose(model)
+            k = int(rng.integers(1, 5))
+            gamma_db = rng.uniform(30.0, 60.0, (n, k))
+            gamma_db[rng.random((n, k)) < 0.3] = -math.inf
+            both = pp.corona_currents(model, dec, gamma_db)
+            assert both.shape == (n, k)
+            for c in range(k):
+                one = pp.corona_currents(model, dec, gamma_db[:, c])
+                np.testing.assert_allclose(both[:, c], one, rtol=1e-12,
+                                           atol=1e-14 * np.max(np.abs(one)))
+
+    def test_excitation_shape_checked(self):
+        model = pp.build_line_model(single_line())
+        dec = pp.modal_decompose(model)
+        for bad in ([40.0, 40.0], 40.0, np.zeros((1, 1, 1))):
+            with pytest.raises(ValueError):
+                pp.corona_currents(model, dec, bad)
+
     def test_zero_attenuation_guard(self):
         model = fake_model(np.eye(2), np.eye(2))
         dec = pp.ModalDecomposition(M=np.eye(2), N=np.eye(2),
@@ -255,6 +348,10 @@ class TestGroundField:
             h_x, e_y = pp.ground_field(geom, currents, 0.0)
             assert abs(h_x) <= 1e-15
             assert abs(e_y) <= 1e-12
+            columns = np.stack([currents, 2.0 * currents, -currents], axis=1)
+            h_x, e_y = pp.ground_field(geom, columns, 0.0)
+            assert h_x.shape == e_y.shape == (3,)
+            assert np.all(h_x == 0) and np.all(e_y == 0)
 
     def test_lateral_symmetry(self):
         geom = single_line(mic_x=0.0)
@@ -281,6 +378,9 @@ class TestGroundField:
         h2, _ = pp.ground_field(geom, i2, p)
         h12, _ = pp.ground_field(geom, i1 + i2, p)
         assert h12 == pytest.approx(h1 + h2, rel=1e-12)
+        h_cols, e_cols = pp.ground_field(geom, np.stack([i1, i2], axis=1), p)
+        np.testing.assert_allclose(h_cols, [h1, h2], rtol=1e-12)
+        np.testing.assert_allclose(e_cols, pp.Z0 * h_cols, rtol=1e-15)
 
 
 class TestRiLevel:
@@ -299,6 +399,12 @@ class TestRiLevel:
     def test_zero_field(self):
         with pytest.raises(ZeroFieldError):
             pp.ri_level(0.0)
+
+    @pytest.mark.parametrize("e_field", [complex(math.inf, 0.0),
+                                         complex(math.nan, 1.0), 1e305])
+    def test_non_finite_level(self, e_field):
+        with pytest.raises(NonFiniteError):
+            pp.ri_level(e_field)
 
 
 class TestPhaseCombination:
@@ -353,3 +459,49 @@ class TestRiLinePrediction:
         pred = pp.ri_line_prediction(geom, "ri-discovered-4")
         assert len(pred.per_phase) == 2
         assert pred.per_phase[0] > pred.per_phase[1]
+
+    def test_phases_match_single_column_chain(self):
+        # each per-phase level equals exciting that phase alone through the
+        # 1-D corona_currents + ground_field path
+        rng = np.random.default_rng(59)
+        for _ in range(200):
+            geom = random_geometry(rng)
+            for p in geom.phases:
+                p.bundle = models.BundleConfig(E=float(rng.uniform(14.0, 30.0)),
+                                               n=8.0, d=2.4)
+            pred = pp.ri_line_prediction(geom, "ri-discovered-4")
+            model = pp.build_line_model(geom)
+            dec = pp.modal_decompose(model)
+            n = len(geom.phases)
+            levels = []
+            for i, p in enumerate(geom.phases):
+                gamma_db = np.full(n, -math.inf)
+                gamma_db[i] = models.ri_excitation("ri-discovered-4", p.bundle)
+                currents = pp.corona_currents(model, dec, gamma_db)
+                _, e_y = pp.ground_field(geom, currents, model.penetration_depth)
+                levels.append(pp.ri_level(e_y))
+                np.testing.assert_allclose(pred.phase_currents[:, i], currents,
+                                           rtol=1e-12,
+                                           atol=1e-14 * np.max(np.abs(currents)))
+            np.testing.assert_allclose(pred.per_phase, levels, rtol=1e-12)
+            strongest = levels.index(max(levels))
+            np.testing.assert_array_equal(pred.currents,
+                                          pred.phase_currents[:, strongest])
+            assert pred.decomposition.residual <= pp.MODAL_TOL
+
+    def test_benchmark_reference_table(self, tmp_path):
+        # perfbench checks every predict-ri request against this table at
+        # 1e-9; a change that drifts from it fails here first
+        pool = json.loads(RI_REFERENCE.read_text(encoding="utf-8"))
+        assert len(pool) == 1024
+        path = tmp_path / "geometry.json"
+        for k, entry in enumerate(pool):
+            path.write_text(json.dumps(entry["geometry"]), encoding="utf-8")
+            geometry, f_ri, rho = cli.load_geometry(path)
+            pred = pp.ri_line_prediction(geometry, entry["model"],
+                                         f_ri=f_ri, rho=rho)
+            got = [pred.level] + pred.per_phase
+            want = [entry["level"]] + entry["per_phase"]
+            assert len(got) == len(want) and all(
+                abs(g - w) <= 1e-9 * abs(w) for g, w in zip(got, want)), \
+                f"entry {k}: {got} against {want}"
