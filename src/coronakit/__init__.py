@@ -38,11 +38,9 @@ from .models import (
 from .objective import (
     LossBreakdown,
     MonotonicitySpec,
-    accuracy_loss,
     default_monotonicity_spec,
     fit_coefficients,
     monotonicity_loss,
-    total_loss,
 )
 from .propagation import (
     ANPrediction,

@@ -388,14 +388,17 @@ def cmd_predict(args) -> int:
 
 
 def explain_ri(prediction: propagation.RIPrediction) -> None:
-    """Print the modal attenuations, the diagonalization residual, and for
-    each excited phase its conductor-current magnitudes and level."""
+    """Print the modal attenuations, the diagonalization residual and the
+    eigenvector condition number, and for each excited phase its
+    conductor-current magnitudes and level."""
     decomp = prediction.decomposition
     print(f"{'mode':>5}  {'alpha [Np/m]':>14}")
     for m, alpha in enumerate(decomp.alpha):
         print(f"{m:>5}  {alpha:>14.6e}")
     print(f"diagonalization residual: {decomp.residual:.3e} "
-          f"(tolerance {propagation.MODAL_TOL:g})")
+          f"(tolerance {propagation.MODAL_TOL:g}), "
+          f"cond(M): {decomp.condition:.3g} "
+          f"(limit {propagation.MAX_MODAL_CONDITION:g})")
     conductors = range(len(prediction.per_phase))
     print(f"{'excited':>7}  {'level [dB(µV/m)]':>16}  "
           + "  ".join(f"{f'|I_{c}| [A]':>11}" for c in conductors))

@@ -91,7 +91,7 @@ class Individual:
     node_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.node_count = 1 + sum(len(term.nodes) for term, _ in self.terms)
+        self.node_count = 1 + sum(term.node_count for term, _ in self.terms)
 
     @property
     def graph(self) -> exprgraph.ExprGraph:
@@ -178,42 +178,29 @@ def crossover(a: Candidate, b: Candidate, rng, n_swap: int = 1,
     return tuple(terms_a), tuple(terms_b)
 
 
-def _mutable_edges(terms: Candidate) -> list[tuple[int, exprgraph.Edge, str]]:
-    """Inner features the edge mutation may touch, as (term index, edge,
-    child kind): exponents, log bases and inner additive signs, in the
-    assembled graph's edge order.  Root coefficients are fitted, never
-    mutated."""
-    out = []
-    for index, (term, _) in enumerate(terms):
-        kinds = {n.id: n.kind for n in term.nodes}
-        for e in term.edges:
-            child = kinds[e.child]
-            if child in (exprgraph.POW, exprgraph.LOG) \
-                    or kinds[e.parent] == exprgraph.ADD:
-                out.append((index, e, child))
-    return out
-
-
 def mutate(terms: Candidate, config: GPConfig, variables, rng) -> Candidate:
     """Apply exactly one mutation kind drawn from the configured rates."""
     kind = draw_index(choice_table(tuple(config.mutation_rates)), rng)
 
     if kind == 0:  # edge feature
-        candidates = _mutable_edges(terms)
-        if not candidates:
+        # inner features only, in the assembled graph's edge order: root
+        # coefficients are fitted, never mutated
+        sites = [(index, site) for index, (term, _) in enumerate(terms)
+                 for site in term.sites()]
+        if not sites:
             kind = 1  # nothing to perturb (e.g. lone constant term)
         else:
-            index, e, child = candidates[int(rng.integers(len(candidates)))]
-            if child == exprgraph.POW:
+            index, (path, site, old) = sites[int(rng.integers(len(sites)))]
+            if site == exprgraph.POW:
                 alphabet = config.exponent_alphabet
                 feature = float(alphabet[int(rng.integers(len(alphabet)))])
-            elif child == exprgraph.LOG:
+            elif site == exprgraph.LOG:
                 feature = exprgraph.LOG_BASES[1] \
-                    if abs(e.feature - 10.0) < 1e-9 else exprgraph.LOG_BASES[0]
+                    if abs(old - 10.0) < 1e-9 else exprgraph.LOG_BASES[0]
             else:
-                feature = -e.feature
+                feature = -old
             term, coef = terms[index]
-            changed = (term.with_edge_feature(e, feature), coef)
+            changed = (term.with_feature(path, feature), coef)
             return terms[:index] + (changed,) + terms[index + 1:]
 
     if kind == 1:  # replace one term with a fresh template instance

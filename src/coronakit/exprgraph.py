@@ -1,7 +1,8 @@
-"""Attributed expression DAGs: representation, evaluation, rendering, templates.
+"""Expression graphs, and the term trees that a search works on.
 
-A candidate equation is a directed acyclic graph rooted at an n-ary additive
-node.  Edge features parameterize local operations:
+A candidate equation is a sum of terms with fitted coefficients.  Its file
+format is a directed acyclic graph rooted at an n-ary additive node, whose
+edge features parameterize local operations:
 
   * edge into a ``pow`` node   -> exponent of that power
   * edge into a ``log`` node   -> logarithm base (10 or e)
@@ -10,6 +11,11 @@ node.  Edge features parameterize local operations:
 
 Root-level coefficients are the only continuously fitted parameters; all
 inner features (exponents, bases, inner signs) are discrete and evolved.
+
+Everything else works on terms as immutable trees (see ``TermFragment``):
+the search, evaluation, rendering, ``parse`` and ``compile_scalar``.  A
+graph is converted to trees once where it comes in, and built from trees
+only where one goes out: a report's ``"graph"`` and ``parse``'s result.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +56,6 @@ CONST_TERM = "const"
 TEMPLATE_KINDS = (POLY_TERM, RATIONAL_TERM, LOG_TERM, CONST_TERM)
 
 
-# Slotted, since every term of every candidate in a population carries
-# its own nodes and edges.
 @dataclass(frozen=True, slots=True)
 class Node:
     id: int
@@ -132,6 +137,138 @@ def graph_from_json(text: str) -> ExprGraph:
     return ExprGraph.from_dict(json.loads(text))
 
 
+# ---------------------------------------------------------------------------
+# terms as trees
+# ---------------------------------------------------------------------------
+#
+# A term is a tree of nested tuples tagged by node kind:
+#
+#     (VAR, name)    (CONST,)
+#     (POW, exponent, operand)    (LOG, base, operand)
+#     (MUL, (factor, ...))
+#     (ADD, ((coefficient, summand), ...))
+#
+# Each feature sits where the graph gives it meaning.  The edge into a pow
+# or log node carries that node's exponent or base, and an edge out of an
+# add node its summand's coefficient, except that a pow or log summand has
+# no coefficient of its own: its entry holds 1.0.  Every other edge carries
+# 1, which ``validate`` enforces, so no tree holds it.  Children keep the
+# graph's edge order.
+
+
+class TermFragment:
+    """One root term: an immutable tree, as described above.
+
+    Terms compare and hash as their trees, so two equal terms evaluate to
+    bit-identical values and assemble into identical graphs.  A term keeps
+    its hash, and computes its node count and what ``render`` shows of it
+    once, on first use.
+    """
+
+    __slots__ = ("tree", "_hash", "_size", "_parts")
+
+    def __init__(self, tree: tuple):
+        self.tree = tree
+        self._hash = hash(tree)
+        self._size = None
+        self._parts = None
+
+    @property
+    def node_count(self) -> int:
+        """The number of nodes of this term's graph."""
+        if self._size is None:
+            self._size = _node_count(self.tree)
+        return self._size
+
+    @property
+    def render_parts(self) -> tuple:
+        """What ``render`` shows of this term apart from its coefficient."""
+        if self._parts is None:
+            self._parts = _term_parts(self.tree)
+        return self._parts
+
+    def sites(self) -> list[tuple[tuple, str, float]]:
+        """The inner features an edge mutation may change, as ``(path, kind,
+        feature)`` in the order the term's graph writes their edges:
+        exponents (kind POW), log bases (LOG) and inner-sum coefficients
+        (ADD).  ``path`` is what ``with_feature`` takes."""
+        return list(_sites(self.tree, ()))
+
+    def with_feature(self, path: tuple, feature: float) -> "TermFragment":
+        """This term with the feature at ``path`` (from ``sites``) replaced."""
+        return TermFragment(_with_feature(self.tree, path, float(feature)))
+
+    def __eq__(self, other):
+        return isinstance(other, TermFragment) and self.tree == other.tree
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"TermFragment({self.tree!r})"
+
+
+def _children(tree) -> tuple:
+    """The subtrees directly under ``tree``, in edge order."""
+    kind = tree[0]
+    if kind == POW or kind == LOG:
+        return (tree[2],)
+    if kind == MUL:
+        return tree[1]
+    if kind == ADD:
+        return tuple(summand for _, summand in tree[1])
+    return ()
+
+
+def _node_count(tree) -> int:
+    return 1 + sum(_node_count(child) for child in _children(tree))
+
+
+def _sites(tree, path):
+    """(path, kind, feature) of each mutable feature under ``tree``, in the
+    order GraphBuilder writes the edges that carry them: an edge into a pow
+    or log node, and an edge out of an add node into any other kind."""
+    kind = tree[0]
+    if kind == POW or kind == LOG:
+        here = (path, kind, tree[1])
+        if kind == POW and tree[2][0] == ADD:  # the sum is written first
+            yield from _sites(tree[2], path + (0,))
+            yield here
+        else:
+            yield here
+            yield from _sites(tree[2], path + (0,))
+    elif kind == MUL:
+        for i, factor in enumerate(tree[1]):
+            yield from _sites(factor, path + (i,))
+    elif kind == ADD:
+        for i, (coef, summand) in enumerate(tree[1]):
+            yield from _sites(summand, path + (i,))
+            if summand[0] != POW and summand[0] != LOG:
+                yield path + (i,), ADD, coef
+
+
+def _with_feature(tree, path, feature) -> tuple:
+    """``tree`` with the feature at ``path`` replaced.  A path leads child by
+    child to a pow or log node, or ends at an add's summand of another
+    kind, whose coefficient it names.  Untouched subtrees are shared."""
+    kind = tree[0]
+    if not path:
+        return (kind, feature, tree[2])
+    i, rest = path[0], path[1:]
+    if kind == POW or kind == LOG:
+        return (kind, tree[1], _with_feature(tree[2], rest, feature))
+    children = list(tree[1])
+    if kind == MUL:
+        children[i] = _with_feature(children[i], rest, feature)
+    else:
+        coef, summand = children[i]
+        if rest or summand[0] == POW or summand[0] == LOG:
+            children[i] = (coef, _with_feature(summand, rest, feature))
+        else:
+            children[i] = (feature, summand)
+    return (kind, tuple(children))
+
+
 class GraphBuilder:
     """Incremental construction of expression graphs with fresh node ids."""
 
@@ -149,162 +286,94 @@ class GraphBuilder:
     def edge(self, parent: int, child: int, feature: float = 1.0) -> None:
         self._edges.append(Edge(parent, child, float(feature)))
 
-    def attach(self, fragment: "TermFragment") -> int:
-        """Graft a fragment into this builder, remapping its local ids."""
-        remap = {}
-        for n in fragment.nodes:
-            remap[n.id] = self.node(n.kind, n.name)
-        for e in fragment.edges:
-            self.edge(remap[e.parent], remap[e.child], e.feature)
-        return remap[fragment.head]
+    def attach(self, term: TermFragment, parent: int, feature: float) -> int:
+        """Write ``term`` under ``parent``, the edge into its head carrying
+        ``feature``; returns the head's id."""
+        return self._write(term.tree, parent, feature)
+
+    def _write(self, tree, parent, feature) -> int:
+        """Write ``tree`` and the edge into it from ``parent`` (None: no
+        edge), in the build order every graph of terms is written in:
+
+          * nodes in pre-order, except that a pow over an add comes after
+            that sum's nodes;
+          * an edge into a pow or log node right after that node, carrying
+            the node's own exponent or base;
+          * every other edge right after its child's subtree.
+        """
+        kind = tree[0]
+        if kind == POW and tree[2][0] == ADD:
+            inner = self._write(tree[2], None, 1.0)
+            nid = self.node(POW)
+            self.edge(parent, nid, tree[1])
+            self.edge(nid, inner, 1.0)
+            return nid
+        nid = self.node(kind, tree[1] if kind == VAR else None)
+        if kind == POW or kind == LOG:
+            self.edge(parent, nid, tree[1])
+            self._write(tree[2], nid, 1.0)
+            return nid
+        if kind == MUL:
+            for factor in tree[1]:
+                self._write(factor, nid, 1.0)
+        elif kind == ADD:
+            for coef, summand in tree[1]:
+                self._write(summand, nid, coef)
+        if parent is not None:
+            self.edge(parent, nid, feature)
+        return nid
 
     def build(self, root: int) -> ExprGraph:
         return ExprGraph(self._nodes, self._edges, root)
 
-    def fragment(self, head: int) -> "TermFragment":
-        return TermFragment(self._nodes, self._edges, head)
+
+def _tree(graph: ExprGraph, edge: Edge) -> tuple:
+    """The tree under ``edge``, whose feature a pow or log child takes."""
+    node = graph.node(edge.child)
+    kind = node.kind
+    if kind == VAR:
+        return (VAR, node.name)
+    if kind == CONST:
+        return (CONST,)
+    children = graph.children(node.id)
+    if kind == POW or kind == LOG:
+        return (kind, edge.feature, _tree(graph, children[0]))
+    if kind == MUL:
+        return (MUL, tuple(_tree(graph, e) for e in children))
+    if kind == ADD:
+        return (ADD, _entries(graph, children))
+    raise ValueError(f"unknown node kind {kind!r}")
 
 
-# Template draws and edge mutations share one Node or Edge object per
-# distinct value, together with its text in a fragment's key.  Their
-# features come from the finite template grammar (an exponent alphabet,
-# the log bases, signs), so the tables hold that grammar's atoms and do not
-# grow with a run.  Graphs read from text or JSON carry fitted coefficients
-# and build fresh objects.
-_NODE_ATOMS: dict[tuple, tuple[Node, str]] = {}
-_EDGE_ATOMS: dict[tuple, tuple[Edge, str]] = {}
-
-#: a table is emptied when it reaches this size, which only a process
-#: that draws over very many vocabularies or alphabets does
-ATOM_TABLE_LIMIT = 4096
+def _entries(graph: ExprGraph, edges) -> tuple:
+    """(coefficient, summand) of each of ``edges`` out of an add node."""
+    return tuple((1.0 if graph.node(e.child).kind in (POW, LOG) else e.feature,
+                  _tree(graph, e)) for e in edges)
 
 
-def _node_atom(nid: int, kind: str, name: str | None) -> tuple[Node, str]:
-    """The shared node (nid, kind, name) and its key text."""
-    key = (nid, kind, name)
-    atom = _NODE_ATOMS.get(key)
-    if atom is None:
-        if len(_NODE_ATOMS) >= ATOM_TABLE_LIMIT:
-            _NODE_ATOMS.clear()
-        atom = _NODE_ATOMS[key] = (Node(nid, kind, name), f"{kind}:{name!r}")
-    return atom
+def _root(graph: ExprGraph) -> tuple:
+    """The graph as one tree: a sum of its root terms."""
+    return (ADD, _entries(graph, graph.term_edges))
 
 
-def _edge_atom(parent: int, child: int, feature: float) -> tuple[Edge, str]:
-    """The shared edge (parent, child, feature) and its key text, which
-    writes the node ids as positions.  A zero feature gets a fresh edge,
-    since 0.0 and -0.0 are one dict key."""
-    key = (parent, child, feature)
-    atom = _EDGE_ATOMS.get(key)
-    if atom is None:
-        atom = (Edge(parent, child, feature), f"{parent}>{child}:{feature!r}")
-        if feature != 0.0:
-            if len(_EDGE_ATOMS) >= ATOM_TABLE_LIMIT:
-                _EDGE_ATOMS.clear()
-            _EDGE_ATOMS[key] = atom
-    return atom
+def extract_term(graph: ExprGraph, index: int) -> tuple[TermFragment, float]:
+    """Root term ``index`` as a term plus its coefficient."""
+    ((coef, tree),) = _entries(graph, [graph.term_edges[index]])
+    return TermFragment(tree), coef
 
 
-class _AtomBuilder(GraphBuilder):
-    """A GraphBuilder over the shared atoms, for template draws.  Node ids
-    are build positions, so the fragment's key is joined from the atoms'
-    texts without formatting anything."""
-
-    def __init__(self):
-        super().__init__()
-        self._node_texts: list[str] = []
-        self._edge_texts: list[str] = []
-
-    def node(self, kind: str, name: str | None = None) -> int:
-        nid = self._next
-        self._next += 1
-        node, text = _node_atom(nid, kind, name)
-        self._nodes.append(node)
-        self._node_texts.append(text)
-        return nid
-
-    def edge(self, parent: int, child: int, feature: float = 1.0) -> None:
-        edge, text = _edge_atom(parent, child, float(feature))
-        self._edges.append(edge)
-        self._edge_texts.append(text)
-
-    def fragment(self, head: int) -> "TermFragment":
-        return TermFragment(self._nodes, self._edges, head,
-                            (*self._node_texts, *self._edge_texts, str(head)))
+def graph_terms(graph: ExprGraph) -> list[tuple[TermFragment, float]]:
+    return [(TermFragment(tree), coef)
+            for coef, tree in _entries(graph, graph.term_edges)]
 
 
-class TermFragment:
-    """One root term: its nodes and edges in build order plus its head node.
-
-    Immutable by convention and hashable.  Terms compare by ``key``, their
-    structure with node ids replaced by build positions, so two equal terms
-    evaluate to bit-identical values and assemble into identical graphs.
-    ``texts``, when given, are the key's parts as the ``texts`` property
-    writes them.
-    """
-
-    __slots__ = ("nodes", "edges", "head", "_texts", "_key", "_parts")
-
-    def __init__(self, nodes, edges, head: int, texts=None):
-        self.nodes = tuple(nodes)
-        self.edges = tuple(edges)
-        self.head = head
-        self._texts = texts
-        self._key = None
-        self._parts = None
-
-    @property
-    def texts(self) -> tuple[str, ...]:
-        """The key's parts: one per node, one per edge, then the head's
-        position.  Names and features are written as Python literals, so
-        the text is unambiguous."""
-        if self._texts is None:
-            pos = {n.id: i for i, n in enumerate(self.nodes)}
-            self._texts = (
-                *[f"{n.kind}:{n.name!r}" for n in self.nodes],
-                *[f"{pos[e.parent]}>{pos[e.child]}:{e.feature!r}"
-                  for e in self.edges],
-                str(pos[self.head]))
-        return self._texts
-
-    @property
-    def key(self) -> str:
-        """Compact structural key, computed on first use."""
-        if self._key is None:
-            self._key = " ".join(self.texts)
-        return self._key
-
-    def with_edge_feature(self, target: Edge, feature: float) -> "TermFragment":
-        """This term with its edge ``target`` (found by identity) carrying
-        ``feature``.  The new edge is a shared atom, so ``feature`` should
-        be a value of the template grammar, and the new key reuses every
-        other part of this one."""
-        i = next(i for i, e in enumerate(self.edges) if e is target)
-        edge, _ = _edge_atom(target.parent, target.child, float(feature))
-        texts = self.texts
-        at = len(self.nodes) + i
-        text = f"{texts[at].partition(':')[0]}:{edge.feature!r}"
-        return TermFragment(self.nodes,
-                            self.edges[:i] + (edge,) + self.edges[i + 1:],
-                            self.head, texts[:at] + (text,) + texts[at + 1:])
-
-    @property
-    def render_parts(self) -> tuple:
-        """What ``render`` shows of this term apart from its coefficient,
-        computed on first use."""
-        if self._parts is None:
-            graph = ExprGraph(self.nodes, self.edges, None)
-            self._parts = _term_parts(graph, Edge(None, self.head))
-        return self._parts
-
-    def __eq__(self, other):
-        return isinstance(other, TermFragment) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __repr__(self):
-        return f"TermFragment(nodes={self.nodes!r}, edges={self.edges!r}, head={self.head})"
+def from_terms(terms: list[tuple[TermFragment, float]]) -> ExprGraph:
+    """Assemble a graph from (term, coefficient) pairs."""
+    builder = GraphBuilder()
+    root = builder.node(ADD)
+    for term, coef in terms:
+        builder.attach(term, root, coef)
+    return builder.build(root)
 
 
 # ---------------------------------------------------------------------------
@@ -325,87 +394,42 @@ def _safe_pow(base, exponent):
     return out
 
 
-class _Walk:
-    """One evaluation of a graph over an environment of arrays (or 0-d
-    scalars), with its own cache of node values.
+def _value(tree, env: dict, powers: dict):
+    """Values of ``tree`` over an environment of arrays (or 0-d scalars).
 
-    ``powers``, when given, maps ``(variable name, exponent)`` to
-    ``_safe_pow(env[name], exponent)``: wherever a pow node sits directly
-    over a var node the walk reads that column, or computes and stores it.
-    The walk holds no closures and no reference to itself, so it and every
-    intermediate array it made are freed as soon as the caller drops it.
+    ``powers`` maps ``(variable name, exponent)`` to ``_safe_pow(env[name],
+    exponent)``: wherever a pow sits directly over a variable this reads
+    that column, or computes and stores it.  A sum adds its scaled summands
+    to 0.0 in order, and a product multiplies its factors into 1.0.
     """
-
-    __slots__ = ("graph", "env", "powers", "cache")
-
-    def __init__(self, graph: ExprGraph, env: dict, powers: dict | None = None):
-        self.graph = graph
-        self.env = env
-        self.powers = powers
-        self.cache: dict[int, object] = {}
-
-    def node_value(self, nid):
-        if nid in self.cache:
-            return self.cache[nid]
-        graph = self.graph
-        node = graph.node(nid)
-        kind = node.kind
-        if kind == VAR:
-            try:
-                value = self.env[node.name]
-            except KeyError:
-                raise UnboundVariableError(node.name) from None
-        elif kind == CONST:
-            value = np.float64(1.0)
-        elif kind == ADD:
-            value = np.float64(0.0)
-            for e in graph.children(nid):
-                value = value + self.edge_value(e, ADD)
-        elif kind == MUL:
-            value = np.float64(1.0)
-            for e in graph.children(nid):
-                value = value * self.edge_value(e, MUL)
-        else:
-            # pow/log values depend on the incoming edge; a valid graph
-            # never asks for them directly
-            raise ValueError(f"cannot evaluate bare {kind} node {nid}")
-        self.cache[nid] = value
+    kind = tree[0]
+    if kind == VAR:
+        try:
+            return env[tree[1]]
+        except KeyError:
+            raise UnboundVariableError(tree[1]) from None
+    if kind == CONST:
+        return np.float64(1.0)
+    if kind == ADD:
+        value = np.float64(0.0)
+        for coef, summand in tree[1]:
+            value = value + coef * _value(summand, env, powers)
         return value
-
-    def edge_value(self, edge, parent_kind):
-        graph = self.graph
-        kind = graph.node(edge.child).kind
-        if kind == POW or kind == LOG:
-            sole = graph.children(edge.child)[0]  # the single operand
-            if kind == LOG:
-                return (_safe_log(self.edge_value(sole, LOG))
-                        / np.log(edge.feature))
-            operand = graph.node(sole.child)
-            if self.powers is None or operand.kind != VAR:
-                return _safe_pow(self.edge_value(sole, POW), edge.feature)
-            key = (operand.name, edge.feature)
-            column = self.powers.get(key)
-            if column is None:
-                column = _safe_pow(self.node_value(sole.child), edge.feature)
-                self.powers[key] = column
-            return column
-        value = self.node_value(edge.child)
-        if parent_kind == ADD:
-            value = edge.feature * value
+    if kind == MUL:
+        value = np.float64(1.0)
+        for factor in tree[1]:
+            value = value * _value(factor, env, powers)
         return value
-
-
-def _eval_root(graph: ExprGraph, env: dict) -> np.ndarray:
-    """Evaluate the graph over an environment of arrays (or 0-d scalars)."""
-    return _Walk(graph, env).node_value(graph.root)
-
-
-def _term_column(graph: ExprGraph, head: int, env: dict,
-                 powers: dict | None = None):
-    """Values of the term under ``head``, formed as the root of a one-term
-    graph with coefficient 1 forms them: ``0.0 + 1.0 * term``."""
-    value = _Walk(graph, env, powers).edge_value(Edge(None, head, 1.0), ADD)
-    return np.float64(0.0) + value
+    operand = tree[2]
+    if kind == LOG:
+        return _safe_log(_value(operand, env, powers)) / np.log(tree[1])
+    if operand[0] != VAR:
+        return _safe_pow(_value(operand, env, powers), tree[1])
+    key = (operand[1], tree[1])
+    column = powers.get(key)
+    if column is None:
+        column = powers[key] = _safe_pow(_value(operand, env, powers), tree[1])
+    return column
 
 
 def evaluate(graph: ExprGraph, assignment: dict) -> float:
@@ -416,7 +440,7 @@ def evaluate(graph: ExprGraph, assignment: dict) -> float:
     0 to a negative power, near-zero reciprocal denominators).
     """
     env = {name: np.float64(value) for name, value in assignment.items()}
-    result = float(_eval_root(graph, env))
+    result = float(_value(_root(graph), env, {}))
     if not math.isfinite(result):
         raise NonFiniteError(f"graph evaluated to {result!r} at {assignment!r}")
     return result
@@ -432,25 +456,40 @@ def compile_scalar(graph: ExprGraph, names, on_domain_error):
     a non-finite result, it calls ``on_domain_error`` with a message naming
     the rendered operand; that callback must raise.
     """
-    def node_fn(nid):
-        node = graph.node(nid)
-        if node.kind == VAR:
-            if node.name not in names:
-                raise UnboundVariableError(node.name)
-            index = names.index(node.name)
-            return lambda args: args[index]
-        if node.kind == CONST:
-            return lambda args: 1.0
-        if node.kind == ADD:
-            terms = [edge_fn(e, ADD) for e in graph.children(nid)]
+    root = _compile(_root(graph), names, on_domain_error)
 
-            def add(args):
-                total = 0.0
-                for coef, term in terms:
-                    total += coef * term(args)
-                return total
-            return add
-        parts = [edge_fn(e, MUL)[1] for e in graph.children(nid)]
+    def scalar(*values):
+        value = root(values)
+        if not math.isfinite(value):
+            at = ", ".join(f"{n}={v!r}" for n, v in zip(names, values))
+            on_domain_error(f"evaluates to {value!r} at {at}")
+        return value
+    return scalar
+
+
+def _compile(tree, names, on_domain_error):
+    """A closure that computes ``tree`` from a tuple of floats, one per
+    entry of ``names``."""
+    kind = tree[0]
+    if kind == VAR:
+        if tree[1] not in names:
+            raise UnboundVariableError(tree[1])
+        index = names.index(tree[1])
+        return lambda args: args[index]
+    if kind == CONST:
+        return lambda args: 1.0
+    if kind == ADD:
+        terms = [(coef, _compile(summand, names, on_domain_error))
+                 for coef, summand in tree[1]]
+
+        def add(args):
+            total = 0.0
+            for coef, term in terms:
+                total += coef * term(args)
+            return total
+        return add
+    if kind == MUL:
+        parts = [_compile(factor, names, on_domain_error) for factor in tree[1]]
         if len(parts) == 1:  # 1.0 * x is x
             return parts[0]
 
@@ -460,55 +499,37 @@ def compile_scalar(graph: ExprGraph, names, on_domain_error):
                 product *= part(args)
             return product
         return mul
+    inner = _compile(tree[2], names, on_domain_error)
+    if kind == LOG:
+        name = "log10" if _is_log_base_10(tree[1]) else "ln"
+        what = _render_operand(tree[2], bare=True)
+        scale = math.log(tree[1])
 
-    def edge_fn(edge, parent_kind):
-        """(scale, closure) of an edge; its value is scale * closure(args)."""
-        kind = graph.node(edge.child).kind
-        if kind not in (POW, LOG):
-            scale = edge.feature if parent_kind == ADD else 1.0
-            return scale, node_fn(edge.child)
-        inner_edge = graph.children(edge.child)[0]
-        inner = edge_fn(inner_edge, kind)[1]
-        if kind == LOG:
-            name = "log10" if _is_log_base_10(edge.feature) else "ln"
-            what = _render_operand(graph, inner_edge, bare=True)
-            scale = math.log(edge.feature)
-
-            def log(args):
-                x = inner(args)
-                if not x > 0:
-                    on_domain_error(f"{name} argument {what} = {x!r} "
-                                    "is not positive")
-                return math.log(x) / scale
-            return 1.0, log
-        exponent = edge.feature
-        if exponent == 1.0:  # pow(x, 1) is x
-            return 1.0, inner
-        operand = _render_operand(graph, inner_edge)
-
-        def power(args):
+        def log(args):
             x = inner(args)
-            if exponent < 0 and abs(x) < DENOM_GUARD:
-                on_domain_error(f"denominator {operand} = {x!r} is (near) zero")
-            try:
-                return math.pow(x, exponent)
-            except OverflowError:  # an infinity, as in evaluate
-                return math.copysign(math.inf, x) if exponent % 2 == 1 \
-                    else math.inf
-            except ValueError:
-                on_domain_error(f"{operand}^{_fmt_exp(exponent)} is undefined "
-                                f"at {operand} = {x!r}")
-        return 1.0, power
+            if not x > 0:
+                on_domain_error(f"{name} argument {what} = {x!r} "
+                                "is not positive")
+            return math.log(x) / scale
+        return log
+    exponent = tree[1]
+    if exponent == 1.0:  # pow(x, 1) is x
+        return inner
+    operand = _render_operand(tree[2])
 
-    root = node_fn(graph.root)
-
-    def scalar(*values):
-        value = root(values)
-        if not math.isfinite(value):
-            at = ", ".join(f"{n}={v!r}" for n, v in zip(names, values))
-            on_domain_error(f"evaluates to {value!r} at {at}")
-        return value
-    return scalar
+    def power(args):
+        x = inner(args)
+        if exponent < 0 and abs(x) < DENOM_GUARD:
+            on_domain_error(f"denominator {operand} = {x!r} is (near) zero")
+        try:
+            return math.pow(x, exponent)
+        except OverflowError:  # an infinity, as in evaluate
+            return math.copysign(math.inf, x) if exponent % 2 == 1 \
+                else math.inf
+        except ValueError:
+            on_domain_error(f"{operand}^{_fmt_exp(exponent)} is undefined "
+                            f"at {operand} = {x!r}")
+    return power
 
 
 def _column_env(data) -> dict:
@@ -531,7 +552,7 @@ def evaluate_batch(graph: ExprGraph, data) -> tuple[np.ndarray, np.ndarray]:
     """
     env = _column_env(data)
     n = _row_count(env)
-    values = np.asarray(_eval_root(graph, env), dtype=float)
+    values = np.asarray(_value(_root(graph), env, {}), dtype=float)
     if values.ndim == 0:
         values = np.full(n, float(values))
     finite = np.isfinite(values)
@@ -539,19 +560,24 @@ def evaluate_batch(graph: ExprGraph, data) -> tuple[np.ndarray, np.ndarray]:
     return values, finite
 
 
+def _term_column(tree, env: dict, powers: dict):
+    """Values of a root term, formed as the root of a one-term graph with
+    coefficient 1 forms them: ``0.0 + 1.0 * term``."""
+    return np.float64(0.0) + 1.0 * _value(tree, env, powers)
+
+
 def term_values(graph: ExprGraph, data) -> tuple[np.ndarray, np.ndarray]:
     """Design matrix of per-term values with outer coefficients forced to 1.
 
     Column j holds the value of root child j, formed as the root of a
-    one-term graph would form it: ``0.0 + 1.0 * child``.  Each term is
-    walked with its own cache, so the work is linear in the graph size and
-    no term's intermediates outlive its column.  Returns ``(matrix,
-    row_ok)`` where ``row_ok`` flags rows on which every term is finite.
+    one-term graph would form it: ``0.0 + 1.0 * child``.  Returns
+    ``(matrix, row_ok)`` where ``row_ok`` flags rows on which every term
+    is finite.
     """
-    env = _column_env(data)
+    env, powers = _column_env(data), {}
     matrix = np.empty((_row_count(env), graph.term_count))
-    for j, e in enumerate(graph.term_edges):
-        matrix[:, j] = _term_column(graph, e.child, env)
+    for j, (_, tree) in enumerate(_entries(graph, graph.term_edges)):
+        matrix[:, j] = _term_column(tree, env, powers)
     row_ok = np.all(np.isfinite(matrix), axis=1)
     return matrix, row_ok
 
@@ -567,10 +593,10 @@ def fragment_values(fragments, data, powers: dict | None = None) -> np.ndarray:
     entry per distinct pair that the fragments raise a variable to.
     """
     env = _column_env(data)
+    powers = {} if powers is None else powers
     out = np.empty((len(fragments), _row_count(env)))
     for i, fragment in enumerate(fragments):
-        view = ExprGraph(fragment.nodes, fragment.edges, fragment.head)
-        out[i] = _term_column(view, fragment.head, env, powers)
+        out[i] = _term_column(fragment.tree, env, powers)
     return out
 
 
@@ -638,6 +664,14 @@ def validate(graph: ExprGraph, max_terms: int | None = None) -> list[Violation]:
                 color[nid] = BLACK
                 stack.pop()
 
+    # every evaluator expands the graph into trees, so a shared node would
+    # be expanded once per path to it
+    for nid, count in sorted(Counter(e.child for e in graph.edges).items()):
+        if count > 1:
+            out.append(Violation(
+                "shared-node", f"node {nid} has {count} incoming edges; "
+                "a node may have one parent edge"))
+
     # reachability from the root
     seen = {graph.root}
     frontier = [graph.root]
@@ -700,6 +734,8 @@ def validate(graph: ExprGraph, max_terms: int | None = None) -> list[Violation]:
     return out
 
 
+
+
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
@@ -716,97 +752,92 @@ def _is_log_base_10(base: float) -> bool:
     return abs(base - 10.0) < 1e-9
 
 
-def _render_factor(graph: ExprGraph, edge: Edge) -> str:
-    """Render one multiplicative factor (an edge out of a mul/pow/log node)."""
-    child = graph.node(edge.child)
-    if child.kind == POW:
-        inner = graph.children(edge.child)[0]
-        base = _render_operand(graph, inner)
-        if edge.feature == 1.0:
+def _render_factor(tree) -> str:
+    """Render one multiplicative factor."""
+    kind = tree[0]
+    if kind == POW:
+        base = _render_operand(tree[2])
+        if tree[1] == 1.0:
             return base
-        return f"{base}^{_fmt_exp(edge.feature)}"
-    if child.kind == LOG:
-        inner = graph.children(edge.child)[0]
-        fn = "log10" if _is_log_base_10(edge.feature) else "ln"
-        return f"{fn}({_render_operand(graph, inner, bare=True)})"
-    return _render_operand(graph, edge)
+        return f"{base}^{_fmt_exp(tree[1])}"
+    if kind == LOG:
+        fn = "log10" if _is_log_base_10(tree[1]) else "ln"
+        return f"{fn}({_render_operand(tree[2], bare=True)})"
+    return _render_operand(tree)
 
 
-def _render_operand(graph: ExprGraph, edge: Edge, bare: bool = False) -> str:
-    """Render the operand under ``edge``; ``bare`` drops the parentheses
-    around a product."""
-    child = graph.node(edge.child)
-    if child.kind == POW or child.kind == LOG:
-        return _render_factor(graph, edge)
-    if child.kind == VAR:
-        return child.name
-    if child.kind == CONST:
+def _render_operand(tree, bare: bool = False) -> str:
+    """Render an operand; ``bare`` drops the parentheses around a product."""
+    kind = tree[0]
+    if kind == POW or kind == LOG:
+        return _render_factor(tree)
+    if kind == VAR:
+        return tree[1]
+    if kind == CONST:
         return "1"
-    if child.kind == MUL:
-        body = _render_mul(graph, edge.child)
+    if kind == MUL:
+        body = _render_mul(tree)
         return body if bare else f"({body})"
-    if child.kind == ADD:
-        return f"({_render_add(graph, edge.child)})"
-    raise ValueError(f"unrenderable node kind {child.kind}")
+    if kind == ADD:
+        return f"({_render_add(tree)})"
+    raise ValueError(f"unrenderable node kind {kind}")
 
 
-def _render_mul(graph: ExprGraph, nid: int) -> str:
-    factors = sorted(_render_factor(graph, e) for e in graph.children(nid))
-    return "*".join(factors)
+def _render_mul(tree) -> str:
+    return "*".join(sorted(_render_factor(factor) for factor in tree[1]))
 
 
-def _render_add(graph: ExprGraph, nid: int) -> str:
+def _render_add(tree) -> str:
     parts = []
-    for e in graph.children(nid):
-        child = graph.node(e.child)
-        if child.kind in (POW, LOG):
-            parts.append(_render_factor(graph, e))
-        elif child.kind == CONST:
-            parts.append(_fmt_exp(e.feature))
+    for coef, summand in tree[1]:
+        kind = summand[0]
+        if kind == POW or kind == LOG:
+            parts.append(_render_factor(summand))
+        elif kind == CONST:
+            parts.append(_fmt_exp(coef))
         else:
-            body = _render_operand(graph, e, bare=True)
-            if e.feature == 1.0:
+            body = _render_operand(summand, bare=True)
+            if coef == 1.0:
                 parts.append(body)
-            elif e.feature == -1.0:
+            elif coef == -1.0:
                 parts.append(f"-{body}")
             else:
-                parts.append(f"{_fmt_exp(e.feature)}*{body}")
+                parts.append(f"{_fmt_exp(coef)}*{body}")
     return " + ".join(sorted(parts))
 
 
-def _term_body(graph: ExprGraph, edge: Edge) -> str:
-    child = graph.node(edge.child)
-    if child.kind == CONST:
+def _term_body(tree) -> str:
+    kind = tree[0]
+    if kind == CONST:
         return ""
-    if child.kind == MUL:
-        return _render_mul(graph, edge.child)
-    return _render_operand(graph, edge, bare=True)
+    if kind == MUL:
+        return _render_mul(tree)
+    return _render_operand(tree, bare=True)
 
 
-def _term_profile(graph: ExprGraph, edge: Edge):
+def _term_profile(tree):
     """(kind rank, variable names, exponents) used as the canonical sort key."""
-    child = graph.node(edge.child)
-    if child.kind == CONST:
+    if tree[0] == CONST:
         return 0, (), ()
     names: list[str] = []
     exponents: list[float] = []
     has_log = False
     has_rational = False
-    stack = [edge]
+    stack = [tree]
     while stack:
-        e = stack.pop()
-        node = graph.node(e.child)
-        if node.kind == VAR:
-            names.append(node.name)
-        elif node.kind == POW:
-            exponents.append(e.feature)
-            if e.feature < 0:
+        node = stack.pop()
+        kind = node[0]
+        if kind == VAR:
+            names.append(node[1])
+        elif kind == POW:
+            exponents.append(node[1])
+            if node[1] < 0:
                 has_rational = True
-        elif node.kind == LOG:
+        elif kind == LOG:
             has_log = True
-        elif node.kind == ADD and e.child != graph.root:
+        elif kind == ADD:
             has_rational = True
-        stack.extend(graph.children(e.child))
+        stack.extend(_children(node))
     if has_rational:
         rank = 3
     elif has_log:
@@ -816,10 +847,10 @@ def _term_profile(graph: ExprGraph, edge: Edge):
     return rank, tuple(sorted(names)), tuple(sorted(exponents))
 
 
-def _term_parts(graph: ExprGraph, edge: Edge) -> tuple:
-    """(kind rank, variable names, exponents, body) of the root term under
-    ``edge``: everything render shows of it apart from its coefficient."""
-    return (*_term_profile(graph, edge), _term_body(graph, edge))
+def _term_parts(tree) -> tuple:
+    """(kind rank, variable names, exponents, body) of a root term:
+    everything render shows of it apart from its coefficient."""
+    return (*_term_profile(tree), _term_body(tree))
 
 
 def _render_sum(terms) -> str:
@@ -835,14 +866,13 @@ def _render_sum(terms) -> str:
 def render(graph: ExprGraph) -> str:
     """Canonical infix form: deterministic term order, 6-significant-digit
     coefficients, identical strings for structurally equal graphs."""
-    return _render_sum((_term_parts(graph, e), e.feature)
-                       for e in graph.term_edges)
+    return _render_sum((_term_parts(tree), coef)
+                       for coef, tree in _entries(graph, graph.term_edges))
 
 
 def render_terms(terms) -> str:
-    """``render(from_terms(terms))`` for (fragment, coefficient) pairs,
-    without assembling the graph.  Holds for every term ``validate``
-    accepts under a root: one whose head is not a pow or log node."""
+    """``render(from_terms(terms))`` for (term, coefficient) pairs, without
+    assembling the graph."""
     return _render_sum((term.render_parts, coef) for term, coef in terms)
 
 
@@ -864,15 +894,14 @@ class _Parser:
         factor  := name ['^' number] | '(' sum ')' ['^' number]
                  | ('log10' | 'ln') '(' product ')' ['^' number]
 
-    It builds the nodes that ``sample_template`` builds: a product is a mul
-    node, a name a pow node over a var node, a parenthesised sum a pow node
-    over an add node, and a bare number a const node under its coefficient.
+    It builds the trees that ``sample_template`` builds: a product is a mul,
+    a name a pow over a var, a parenthesised sum a pow over an add, and a
+    bare number a const under its coefficient.
     """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.builder = GraphBuilder()
 
     def take(self, pattern: str, expected: str | None = None) -> str | None:
         """Consume ``pattern`` (a regex) at the current position; without
@@ -887,59 +916,46 @@ class _Parser:
                              f"of {self.text!r}, found {found!r}")
         return None
 
-    def sum(self, add: int, root: bool) -> None:
-        b = self.builder
+    def sum(self, root: bool) -> tuple:
+        """The (coefficient, summand) entries of a sum."""
+        entries = []
         while True:
             number = self.take(_NUMBER, "a number" if root else None)
             if number is None:
                 sign = -1.0 if self.take("-") else 1.0
-                b.edge(add, self.product(), sign)
+                entries.append((sign, self.product()))
             elif self.take(r"\*"):
-                b.edge(add, self.product(), float(number))
+                entries.append((float(number), self.product()))
             else:
-                b.edge(add, b.node(CONST), float(number))
+                entries.append((float(number), (CONST,)))
             if self.take(_PLUS) is None:
-                return
+                return tuple(entries)
 
-    def product(self) -> int:
-        mul = self.builder.node(MUL)
-        while True:
-            node, feature = self.factor()
-            self.builder.edge(mul, node, feature)
-            if not self.take(r"\*"):
-                return mul
+    def product(self) -> tuple:
+        factors = [self.factor()]
+        while self.take(r"\*"):
+            factors.append(self.factor())
+        return (MUL, tuple(factors))
 
-    def exponent(self) -> float | None:
-        return float(self.take(_NUMBER, "a number")) if self.take(r"\^") else None
+    def exponent(self) -> float:
+        return float(self.take(_NUMBER, "a number")) if self.take(r"\^") else 1.0
 
-    def factor(self) -> tuple[int, float]:
-        """One factor as (node, feature of the edge into it)."""
-        b = self.builder
+    def factor(self) -> tuple:
         log = self.take(r"(log10|ln)\(")
         if log:
-            node = b.node(LOG)
-            b.edge(node, self.product(), 1.0)
+            operand = self.product()
             self.take(r"\)", "')'")
-            base = 10.0 if log == "log10(" else math.e
-            exponent = self.exponent()
-            if exponent is None:
-                return node, base
-            power = b.node(POW)
-            b.edge(power, node, base)
-            return power, exponent
+            node = (LOG, 10.0 if log == "log10(" else math.e, operand)
+            if not self.take(r"\^"):
+                return node
+            return (POW, float(self.take(_NUMBER, "a number")), node)
         name = self.take(r"[A-Za-z_]\w*")
-        if name is None:
-            self.take(r"\(", "a name, '(', 'log10(' or 'ln('")
-        power = b.node(POW)
         if name is not None:
-            b.edge(power, b.node(VAR, name), 1.0)
-        else:
-            add = b.node(ADD)
-            self.sum(add, root=False)
-            self.take(r"\)", "')'")
-            b.edge(power, add, 1.0)
-        exponent = self.exponent()
-        return power, 1.0 if exponent is None else exponent
+            return (POW, self.exponent(), (VAR, name))
+        self.take(r"\(", "a name, '(', 'log10(' or 'ln('")
+        add = (ADD, self.sum(root=False))
+        self.take(r"\)", "')'")
+        return (POW, self.exponent(), add)
 
 
 def parse(text: str) -> ExprGraph:
@@ -949,44 +965,9 @@ def parse(text: str) -> ExprGraph:
     grammar does not accept.
     """
     parser = _Parser(text)
-    root = parser.builder.node(ADD)
-    parser.sum(root, root=True)
+    entries = parser.sum(root=True)
     parser.take(r"\Z", "' + ' or the end of the text")
-    return parser.builder.build(root)
-
-
-# ---------------------------------------------------------------------------
-# root terms as standalone fragments
-# ---------------------------------------------------------------------------
-
-def extract_term(graph: ExprGraph, index: int) -> tuple[TermFragment, float]:
-    """Copy root term ``index`` out as a standalone fragment plus its coefficient."""
-    edge = graph.term_edges[index]
-    keep = set()
-    frontier = [edge.child]
-    while frontier:
-        nid = frontier.pop()
-        if nid in keep:
-            continue
-        keep.add(nid)
-        frontier.extend(e.child for e in graph.children(nid))
-    nodes = [n for n in graph.nodes if n.id in keep]
-    edges = [e for e in graph.edges if e.parent in keep and e.child in keep]
-    return TermFragment(nodes, edges, edge.child), edge.feature
-
-
-def from_terms(terms: list[tuple[TermFragment, float]]) -> ExprGraph:
-    """Assemble a graph from (fragment, coefficient) term pairs."""
-    builder = GraphBuilder()
-    root = builder.node(ADD)
-    for fragment, coef in terms:
-        head = builder.attach(fragment)
-        builder.edge(root, head, coef)
-    return builder.build(root)
-
-
-def graph_terms(graph: ExprGraph) -> list[tuple[TermFragment, float]]:
-    return [extract_term(graph, i) for i in range(graph.term_count)]
+    return from_terms([(TermFragment(tree), coef) for coef, tree in entries])
 
 
 # ---------------------------------------------------------------------------
@@ -997,41 +978,35 @@ def _positive(alphabet) -> list[int]:
     return [a for a in alphabet if a > 0]
 
 
-def _pow_var(b: GraphBuilder, parent: int, name: str, exponent: float) -> None:
-    p = b.node(POW)
-    v = b.node(VAR, name)
-    b.edge(parent, p, exponent)
-    b.edge(p, v, 1.0)
+def _pow_var(name: str, exponent) -> tuple:
+    return (POW, float(exponent), (VAR, name))
 
 
-def _power_product(b: GraphBuilder, names, exponents) -> int:
-    head = b.node(MUL)
-    for name, exp in zip(names, exponents):
-        _pow_var(b, head, name, exp)
-    return head
+def _power_product(names, exponents) -> tuple:
+    return (MUL, tuple(_pow_var(name, exp)
+                       for name, exp in zip(names, exponents)))
 
 
 def sample_template(kind: str, variables, rng, alphabet=DEFAULT_ALPHABET) -> TermFragment:
-    """Draw one term subgraph of the requested archetype.
+    """Draw one term of the requested archetype.
 
-    The produced fragment always validates once attached under an additive
-    root; exponents come from ``alphabet`` and log bases from (10, e).
+    The term always validates once attached under an additive root;
+    exponents come from ``alphabet`` and log bases from (10, e).
     """
     variables = list(variables)
     if not variables:
         raise ValueError("sample_template needs at least one variable")
     alphabet = list(alphabet)
-    b = _AtomBuilder()
 
     if kind == CONST_TERM:
-        return b.fragment(b.node(CONST))
+        return TermFragment((CONST,))
 
     if kind == POLY_TERM:
         k = int(rng.integers(1, min(3, len(variables)) + 1))
         picks = rng.choice(len(variables), size=k, replace=False)
         names = [variables[i] for i in picks]
         exps = [alphabet[int(rng.integers(len(alphabet)))] for _ in names]
-        return b.fragment(_power_product(b, names, exps))
+        return TermFragment(_power_product(names, exps))
 
     if kind == LOG_TERM:
         base = LOG_BASES[int(rng.integers(2))]
@@ -1040,46 +1015,38 @@ def sample_template(kind: str, variables, rng, alphabet=DEFAULT_ALPHABET) -> Ter
         pos = _positive(alphabet)
         names = [variables[i] for i in picks]
         exps = [pos[int(rng.integers(len(pos)))] for _ in names]
-        head = b.node(MUL)
-        log_node = b.node(LOG)
-        b.edge(head, log_node, base)
-        arg = _power_product(b, names, exps)
-        b.edge(log_node, arg, 1.0)
-        return b.fragment(head)
+        return TermFragment((MUL, ((LOG, base, _power_product(names, exps)),)))
 
     if kind == RATIONAL_TERM:
         pos = _positive(alphabet)
-        head = b.node(MUL)
+        factors = []
         # numerator: 0..2 positive power factors
         n_num = int(rng.integers(0, 3))
         if n_num:
             picks = rng.choice(len(variables), size=min(n_num, len(variables)),
                                replace=False)
             for i in picks:
-                _pow_var(b, head, variables[i],
-                         pos[int(rng.integers(len(pos)))])
+                factors.append(_pow_var(variables[i],
+                                        pos[int(rng.integers(len(pos)))]))
         # denominator: 1..2 unit-coefficient power-product summands,
         # optionally plus a +-1 constant
-        denom = b.node(ADD)
+        denom = []
         n_sum = int(rng.integers(1, 3))
         for s in range(n_sum):
             k = int(rng.integers(1, min(2, len(variables)) + 1))
             picks = rng.choice(len(variables), size=k, replace=False)
             names = [variables[i] for i in picks]
             exps = [pos[int(rng.integers(len(pos)))] for _ in names]
-            summand = _power_product(b, names, exps)
+            summand = _power_product(names, exps)
             sign = 1.0 if s == 0 or rng.random() < 0.75 else -1.0
-            b.edge(denom, summand, sign)
+            denom.append((sign, summand))
         if rng.random() < 0.3:
-            c = b.node(CONST)
-            b.edge(denom, c, 1.0 if rng.random() < 0.5 else -1.0)
-        recip = b.node(POW)
-        b.edge(head, recip, -1.0)
-        b.edge(recip, denom, 1.0)
+            denom.append((1.0 if rng.random() < 0.5 else -1.0, (CONST,)))
+        factors.append((POW, -1.0, (ADD, tuple(denom))))
         # optional extra reciprocal factor multiplying the denominator
         if rng.random() < 0.25:
             i = int(rng.integers(len(variables)))
-            _pow_var(b, head, variables[i], -1.0)
-        return b.fragment(head)
+            factors.append(_pow_var(variables[i], -1.0))
+        return TermFragment((MUL, tuple(factors)))
 
     raise ValueError(f"unknown template kind {kind!r}")

@@ -163,7 +163,7 @@ class TermScorer:
     most COLUMN_CACHE_BYTES: one preallocated block whose rows are reused on
     eviction, so the cache neither grows nor fragments the heap.  Next to
     each column the cache keeps one flag: whether the term is finite on
-    every data row.  Terms are evaluated straight from their fragments, and
+    every data row.  Terms are evaluated straight from their trees, and
     each power of a variable that a term takes is computed once per run
     and kept, one column per (variable, exponent) pair.  A search draws
     its exponents from the alphabet, plus the -1 of a rational template's
@@ -195,69 +195,69 @@ class TermScorer:
         self._block = np.empty((capacity, stacked))
         #: per row of _block: is the term finite on every data row
         self._finite = np.empty(capacity, dtype=bool)
-        #: term key -> row of _block, least recently used first
-        self._slots: OrderedDict[str, int] = OrderedDict()
+        #: term -> row of _block, least recently used first
+        self._slots: OrderedDict[exprgraph.TermFragment, int] = OrderedDict()
         #: (variable, exponent) -> that power of the variable over self.env
         self._powers: dict[tuple[str, float], np.ndarray] = {}
 
-    def _chunks(self, keyed):
+    def _chunks(self, candidates):
         """Indices of consecutive candidates whose distinct terms fit the
         block; a candidate with more distinct terms than the block holds
         forms a chunk of its own."""
         capacity = len(self._block)
         chunk, seen = [], set()
-        for i, keys in enumerate(keyed):
-            new = set(keys) - seen
+        for i, terms in enumerate(candidates):
+            new = set(terms) - seen
             if chunk and len(seen) + len(new) > capacity:
                 yield chunk
-                chunk, seen, new = [], set(), set(keys)
+                chunk, seen, new = [], set(), set(terms)
             chunk.append(i)
             seen |= new
         if chunk:
             yield chunk
 
     def _load(self, terms: dict):
-        """Columns of ``terms`` (key -> term), evaluating the uncached ones
-        in one call.  Returns ``(columns, finite, row)``: term ``key`` is
-        ``columns[row[key]]``, finite on every data row if
-        ``finite[row[key]]``.  They stay valid until the next call."""
+        """Columns of ``terms`` (a dict of distinct terms), evaluating the
+        uncached ones in one call.  Returns ``(columns, finite, row)``: term
+        ``t`` is ``columns[row[t]]``, finite on every data row if
+        ``finite[row[t]]``.  They stay valid until the next call."""
         slots = self._slots
         missing = {}
-        for key, term in terms.items():
-            if key in slots:
-                slots.move_to_end(key)
+        for term in terms:
+            if term in slots:
+                slots.move_to_end(term)
             else:
-                missing[key] = term
-        fresh = exprgraph.fragment_values(list(missing.values()), self.env,
+                missing[term] = None
+        fresh = exprgraph.fragment_values(list(missing), self.env,
                                           self._powers)
         fresh_ok = np.isfinite(fresh[:, :self.n_rows]).all(axis=1)
         if len(terms) <= len(self._block):
             # The chunk's cached columns were just touched, so the evictions
             # below take only columns it does not use.
             self._store(missing, fresh, fresh_ok)
-            row = {key: slots[key] for key in terms}
+            row = {term: slots[term] for term in terms}
             return self._block, self._finite, row
         # Storing these misses evicts some of the chunk's own columns, so
         # it is read from a copy.
-        cached = [key for key in terms if key not in missing]
-        at = [slots[key] for key in cached]
+        cached = [term for term in terms if term not in missing]
+        at = [slots[term] for term in cached]
         columns = np.concatenate([self._block[at], fresh])
         finite = np.concatenate([self._finite[at], fresh_ok])
         self._store(missing, fresh, fresh_ok)
-        row = {key: i for i, key in enumerate(cached + list(missing))}
+        row = {term: i for i, term in enumerate(cached + list(missing))}
         return columns, finite, row
 
-    def _store(self, keys, columns, finite) -> None:
+    def _store(self, terms, columns, finite) -> None:
         """Cache fresh columns, evicting the least recently used."""
         slots = self._slots
-        for key, column, ok in zip(keys, columns, finite):
+        for term, column, ok in zip(terms, columns, finite):
             if len(slots) < len(self._block):
                 slot = len(slots)
             else:
                 _, slot = slots.popitem(last=False)
             self._block[slot] = column
             self._finite[slot] = ok
-            slots[key] = slot
+            slots[term] = slot
 
     def score_batch(self, candidates) -> list[tuple[list[float] | None,
                                                     LossBreakdown]]:
@@ -268,17 +268,13 @@ class TermScorer:
         data row.  Raises DegenerateTargetError when a candidate is fitted
         to a target whose values are all equal.
         """
-        keyed = [[term.key for term in terms] for terms in candidates]
-        out = [None] * len(keyed)
-        for chunk in self._chunks(keyed):
-            terms = {}
-            for i in chunk:
-                for key, term in zip(keyed[i], candidates[i]):
-                    terms.setdefault(key, term)
+        out = [None] * len(candidates)
+        for chunk in self._chunks(candidates):
+            terms = dict.fromkeys(term for i in chunk for term in candidates[i])
             columns, finite, row = self._load(terms)
             fitted = {}
             for i in chunk:
-                rows = [row[key] for key in keyed[i]]
+                rows = [row[term] for term in candidates[i]]
                 if not finite[rows].all():
                     out[i] = (None, LossBreakdown.rejected())
                     continue
@@ -339,12 +335,6 @@ def fit_coefficients(graph: exprgraph.ExprGraph,
     return exprgraph.with_coefficients(graph, coefs), breakdown.r2
 
 
-def accuracy_loss(graph: exprgraph.ExprGraph, data: Dataset) -> float:
-    """1 - R^2 after fitting; exceeds 1 when worse than the mean predictor."""
-    _, r2 = fit_coefficients(graph, data)
-    return 1.0 - r2
-
-
 def monotonicity_loss(graph: exprgraph.ExprGraph,
                       specs: list[MonotonicitySpec]) -> float:
     """Squared-hinge penalty on trend violations, summed over specs.
@@ -360,14 +350,6 @@ def monotonicity_loss(graph: exprgraph.ExprGraph,
     matrix, _ = exprgraph.term_values(graph, env)
     coefs = np.array([exprgraph.coefficients(graph)])
     return float(_sweep_penalties(matrix.T[None], coefs, specs)[0])
-
-
-def total_loss(graph: exprgraph.ExprGraph, data: Dataset,
-               specs: list[MonotonicitySpec],
-               lambda_mono: float) -> LossBreakdown:
-    """Combined loss l_acc + lambda * l_mono for a fitted candidate."""
-    _, breakdown = score_candidate(graph, data, specs, lambda_mono)
-    return breakdown
 
 
 def score_candidate(graph: exprgraph.ExprGraph, data: Dataset,

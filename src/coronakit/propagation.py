@@ -48,6 +48,11 @@ C_COEF_EMPIRICAL = 10.0
 #: residual tolerance for modal diagonalization
 MODAL_TOL = 1e-8
 
+#: bound on the 1-norm condition number of the ZY eigenvector matrix; a
+#: defective ZY (no complete set of modes) passes the residual check with
+#: a nearly singular eigenvector matrix, while real lines stay below 10
+MAX_MODAL_CONDITION = 1e8
+
 
 @dataclass
 class Phase:
@@ -121,6 +126,7 @@ class ModalDecomposition:
     gamma: np.ndarray          # sqrt(eigenvalues), Re >= 0 branch
     alpha: np.ndarray          # modal attenuation, Re(gamma)
     residual: float = 0.0      # off-diagonal norm of M^-1 ZY M over ||ZY||
+    condition: float = 1.0     # 1-norm condition number of M
 
 
 @dataclass
@@ -289,16 +295,24 @@ def modal_decompose(model: LineElectricalModel) -> ModalDecomposition:
         order = np.lexsort((values.imag, values.real))
         values, vectors = values[order], vectors[:, order]
         diag = np.linalg.solve(vectors, zy @ vectors)
+        inverse = np.linalg.inv(vectors)
     except np.linalg.LinAlgError as exc:
         raise DefectiveMatrixError(f"ZY eigendecomposition failed: {exc}") from None
     residual = float(np.linalg.norm(diag - np.diag(diag.diagonal())) / scale)
     if not residual <= MODAL_TOL:
         raise DefectiveMatrixError(
             f"ZY diagonalization residual {residual:.3e} exceeds {MODAL_TOL}")
+    condition = float(np.abs(vectors).sum(axis=0).max()
+                      * np.abs(inverse).sum(axis=0).max())
+    if not condition <= MAX_MODAL_CONDITION:
+        raise DefectiveMatrixError(
+            f"ZY eigenvector condition number {condition:.3e} exceeds "
+            f"{MAX_MODAL_CONDITION:g}: ZY has no complete set of modes")
     gamma = np.sqrt(values)
     gamma = np.where(gamma.real < 0, -gamma, gamma)
     return ModalDecomposition(M=vectors, N=model.Y @ vectors, eigenvalues=values,
-                              gamma=gamma, alpha=gamma.real, residual=residual)
+                              gamma=gamma, alpha=gamma.real, residual=residual,
+                              condition=condition)
 
 
 def excitation_to_linear(gamma_db) -> np.ndarray:
@@ -392,17 +406,20 @@ def ri_line_prediction(geometry: LineGeometry, model_id: str,
     Each phase is excited on its own, as one column of a single modal
     solve, and the per-phase levels are merged by the configured
     combination rule; the reported field quantities belong to the
-    strongest phase (the first, if several tie).
+    strongest phase (the first, if several tie).  An overflow anywhere in
+    the chain raises the error of the check that meets its result, with no
+    numpy warning.
     """
-    line = build_line_model(geometry, f_ri=f_ri, rho=rho)
-    decomp = modal_decompose(line)
-    n = len(geometry.phases)
-    excitation = np.full((n, n), -math.inf)
-    for i, phase in enumerate(geometry.phases):
-        excitation[i, i] = models.ri_excitation(model_id, phase.bundle)
-    currents = corona_currents(line, decomp, excitation)
-    h_x, e_y = ground_field(geometry, currents, line.penetration_depth)
-    per_phase = [ri_level(e) for e in e_y]
+    with np.errstate(all="ignore"):
+        line = build_line_model(geometry, f_ri=f_ri, rho=rho)
+        decomp = modal_decompose(line)
+        n = len(geometry.phases)
+        excitation = np.full((n, n), -math.inf)
+        for i, phase in enumerate(geometry.phases):
+            excitation[i, i] = models.ri_excitation(model_id, phase.bundle)
+        currents = corona_currents(line, decomp, excitation)
+        h_x, e_y = ground_field(geometry, currents, line.penetration_depth)
+        per_phase = [ri_level(e) for e in e_y]
     k = per_phase.index(max(per_phase))
     return RIPrediction(currents=currents[:, k], h_field=h_x[k], e_field=e_y[k],
                         level=combine_phase_levels(per_phase, combination),

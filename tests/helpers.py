@@ -1,39 +1,25 @@
-"""Graph-building shorthand shared by the test modules."""
+"""Term-building shorthand shared by the test modules."""
 
 from coronakit import exprgraph
+from coronakit.exprgraph import CONST, LOG, MUL, POW, VAR, TermFragment
+
+
+def _powers(factors):
+    return tuple((POW, float(exp), (VAR, name)) for name, exp in factors)
 
 
 def power_fragment(*factors):
     """Mul over Pow(Var) children; factors are (name, exponent) pairs."""
-    b = exprgraph.GraphBuilder()
-    head = b.node(exprgraph.MUL)
-    for name, exp in factors:
-        p = b.node(exprgraph.POW)
-        v = b.node(exprgraph.VAR, name)
-        b.edge(head, p, exp)
-        b.edge(p, v, 1.0)
-    return b.fragment(head)
+    return TermFragment((MUL, _powers(factors)))
 
 
 def log_fragment(base, *factors):
     """Mul wrapping a single log of a power product."""
-    b = exprgraph.GraphBuilder()
-    head = b.node(exprgraph.MUL)
-    log_node = b.node(exprgraph.LOG)
-    b.edge(head, log_node, base)
-    arg = b.node(exprgraph.MUL)
-    b.edge(log_node, arg, 1.0)
-    for name, exp in factors:
-        p = b.node(exprgraph.POW)
-        v = b.node(exprgraph.VAR, name)
-        b.edge(arg, p, exp)
-        b.edge(p, v, 1.0)
-    return b.fragment(head)
+    return TermFragment((MUL, ((LOG, float(base), (MUL, _powers(factors))),)))
 
 
 def const_fragment():
-    b = exprgraph.GraphBuilder()
-    return b.fragment(b.node(exprgraph.CONST))
+    return TermFragment((CONST,))
 
 
 def graph_of(*terms):

@@ -1,5 +1,7 @@
 import json
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -362,6 +364,35 @@ class TestFormulaFile:
                          "--set", "x=1"]) == 0
         assert capsys.readouterr().out.strip() == "801.000 dB"
 
+    def test_shared_node_exits_2(self, tmp_path, capsys):
+        # 2*E^2 + 3*E^2 with both terms' mul over the same pow node
+        nodes = e_squared_graph()["nodes"] + [{"id": 4, "kind": "mul"}]
+        edges = e_squared_graph()["edges"] + [
+            {"from": 0, "to": 4, "feature": 3.0},
+            {"from": 4, "to": 2, "feature": 2.0}]
+        assert self.eval_exit(tmp_path, e_squared_graph(nodes=nodes,
+                                                        edges=edges)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "node 2 has 2 incoming" in err
+
+    def test_doubled_edge_chain_exits_2_at_once(self, tmp_path, capsys):
+        # 60 muls, each joined to the next by two edges: 2^60 paths to E
+        nodes = [{"id": 0, "kind": "add"}]
+        nodes += [{"id": i, "kind": "mul"} for i in range(1, 61)]
+        nodes += [{"id": 61, "kind": "pow"},
+                  {"id": 62, "kind": "var", "name": "E"}]
+        edges = [{"from": 0, "to": 1, "feature": 1.0}]
+        for i in range(1, 60):
+            edges += [{"from": i, "to": i + 1, "feature": 1.0}] * 2
+        edges += [{"from": 60, "to": 61, "feature": 2.0},
+                  {"from": 61, "to": 62, "feature": 1.0}]
+        start = time.perf_counter()
+        code = self.eval_exit(tmp_path, {"nodes": nodes, "edges": edges,
+                                         "root": 0})
+        assert code == 2 and time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "node 2 has 2 incoming" in err
+
     def test_nameless_variable_exits_2(self, tmp_path, capsys):
         nodes = e_squared_graph()["nodes"][:3] + [{"id": 3, "kind": "var"}]
         assert self.eval_exit(tmp_path, e_squared_graph(nodes=nodes)) == 2
@@ -468,6 +499,19 @@ class TestPredict:
         assert self.ri_exit(tmp_path, phases, **extra) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("phases,extra", [
+        (THREE_PHASES, {"f_ri": 1e200}),
+        ([dict(THREE_PHASES[0], r_sub=1e-300)] + THREE_PHASES[1:], {}),
+    ], ids=["f_ri", "r_sub"])
+    def test_overflow_prints_one_error_line(self, tmp_path, capsys, phases,
+                                            extra):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert self.ri_exit(tmp_path, phases, **extra) == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_extreme_numbers_never_print_non_finite_levels(self, tmp_path,
                                                           capsys):
@@ -523,6 +567,10 @@ class TestPredict:
         assert lines[4].startswith("diagonalization residual: ")
         assert float(lines[4].split()[2]) <= propagation.MODAL_TOL
         assert "tolerance 1e-08" in lines[4]
+        condition = float(lines[4].split("cond(M): ")[1].split()[0])
+        assert condition == pytest.approx(pred.decomposition.condition,
+                                          rel=1e-2)
+        assert 1.0 <= condition <= 10.0 and "(limit 1e+08)" in lines[4]
         assert lines[5].split()[:2] == ["excited", "level"]
         rows = [line.split() for line in lines[6:]]
         assert len(rows) == 3

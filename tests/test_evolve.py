@@ -139,14 +139,13 @@ class TestInitPopulation:
         rng = np.random.default_rng(9)
         found = {"const": False, "log": False, "rational": False, "poly": False}
         for _ in range(10_000):
-            g = as_graph(random_graph(cfg, VARS, rng))
-            for e in g.term_edges:
-                frag, _ = exprgraph.extract_term(g, g.term_edges.index(e))
-                kinds = {n.kind for n in frag.nodes}
-                exps = [x.feature for x in frag.edges
-                        if frag.nodes and any(n.id == x.child and n.kind == exprgraph.POW
-                                              for n in frag.nodes)]
-                if exprgraph.CONST in kinds and len(frag.nodes) == 1:
+            for term in random_graph(cfg, VARS, rng):
+                g = as_graph((term,))
+                nodes = [n for n in g.nodes if n.id != g.root]
+                kinds = {n.kind for n in nodes}
+                exps = [x.feature for x in g.edges
+                        if g.node(x.child).kind == exprgraph.POW]
+                if exprgraph.CONST in kinds and len(nodes) == 1:
                     found["const"] = True
                 elif exprgraph.LOG in kinds:
                     found["log"] = True
@@ -249,6 +248,23 @@ class TestMutate:
                            if graph.node(e.child).kind == exprgraph.LOG]
             seen.add(round(log_edge.feature, 6))
         assert seen == {10.0, round(math.e, 6)}
+
+    def test_sites_are_the_graphs_mutable_edges(self):
+        cfg = GPConfig(max_terms=4)
+        rng = np.random.default_rng(11)
+        inner = (exprgraph.POW, exprgraph.LOG)
+        for _ in range(2000):
+            terms = random_graph(cfg, VARS, rng)
+            for _ in range(int(rng.integers(0, 4))):
+                terms = mutate(terms, cfg, VARS, rng)
+            g = as_graph(terms)
+            kind = {n.id: n.kind for n in g.nodes}
+            edges = [(kind[e.child] if kind[e.child] in inner
+                      else exprgraph.ADD, e.feature) for e in g.edges
+                     if kind[e.child] in inner
+                     or (kind[e.parent] == exprgraph.ADD and e.parent != g.root)]
+            sites = [site[1:] for term, _ in terms for site in term.sites()]
+            assert sites == edges
 
     def test_subgraph_replacement_keeps_count(self):
         cfg = GPConfig(mutation_rates=(0.0, 1.0, 0.0), max_terms=4)

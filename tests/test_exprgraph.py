@@ -32,10 +32,8 @@ def eq5_graph():
     # 0.0878*E*n + 72.3*log10(d) - 648.7/(E*log10(E)), built locally
     b = GraphBuilder()
     root = b.node(ADD)
-    t1 = b.attach(power_fragment(("E", 1), ("n", 1)))
-    b.edge(root, t1, 0.0878)
-    t2 = b.attach(log_fragment(10.0, ("d", 1)))
-    b.edge(root, t2, 72.3)
+    b.attach(power_fragment(("E", 1), ("n", 1)), root, 0.0878)
+    b.attach(log_fragment(10.0, ("d", 1)), root, 72.3)
     t3 = b.node(MUL)
     p1 = b.node(POW)
     b.edge(t3, p1, -1.0)
@@ -147,7 +145,7 @@ class TestTermValues:
     def test_product_and_rational_columns(self):
         b = GraphBuilder()
         root = b.node(ADD)
-        b.edge(root, b.attach(power_fragment(("E", 1), ("n", 1))), 2.0)
+        b.attach(power_fragment(("E", 1), ("n", 1)), root, 2.0)
         t2 = b.node(MUL)
         p1 = b.node(POW)
         b.edge(t2, p1, -1.0)
@@ -191,7 +189,8 @@ class TestTermValues:
                 # the root of a one-term graph with coefficient 1 forms the
                 # column as 0.0 + 1.0 * term
                 alone = exprgraph.from_terms([(term, 1.0)])
-                want = np.broadcast_to(exprgraph._eval_root(alone, env), (6,))
+                want = np.broadcast_to(
+                    exprgraph._value(exprgraph._root(alone), env, {}), (6,))
                 assert matrix[:, j].tobytes() == want.tobytes()
         assert list(ok) == list(np.isfinite(matrix).all(axis=1))
         assert not ok.all() and np.isnan(matrix).any()
@@ -360,49 +359,21 @@ class TestSerialization:
 
 
 class TestSharedAtoms:
-    """Template draws and edge mutations reuse Node and Edge objects from
-    tables that the template grammar bounds."""
+    """A term is an immutable tree: it reads back from its graph as an
+    equal term, and a mutation builds a new tree that shares every
+    untouched subtree with its parent."""
 
     VARS = ["E", "n", "d"]
-
-    def test_tables_stay_bounded(self, monkeypatch):
-        monkeypatch.setattr(exprgraph, "_NODE_ATOMS", {})
-        monkeypatch.setattr(exprgraph, "_EDGE_ATOMS", {})
-        alphabet = tuple(v for v in range(-10, 11) if v)
-        cfg = GPConfig(exponent_alphabet=alphabet, max_terms=4)
-        edge_only = GPConfig(exponent_alphabet=alphabet,
-                             mutation_rates=(1.0, 0.0, 0.0))
-        rng = np.random.default_rng(0)
-        terms = random_graph(cfg, self.VARS, rng)
-        sizes = []
-        for step in range(20_000):
-            if step % 4 == 0:
-                terms = random_graph(cfg, self.VARS, rng)
-            else:
-                terms = mutate(terms, edge_only, self.VARS, rng)
-            sizes.append((len(exprgraph._NODE_ATOMS),
-                          len(exprgraph._EDGE_ATOMS)))
-        # never emptied, so every atom drawn is still counted
-        assert all(a[0] <= b[0] and a[1] <= b[1]
-                   for a, b in zip(sizes, sizes[1:]))
-        nodes, edges = sizes[-1]
-        # a template has at most 20 nodes, each of 5 kinds or a variable
-        assert nodes <= 20 * (5 + len(self.VARS))
-        # edges pair ids under 20 with a feature of the alphabet, the log
-        # bases or a sign; this stream reaches 634 of them
-        assert edges <= 1000 < exprgraph.ATOM_TABLE_LIMIT
 
     def test_drawn_keys_are_the_structural_keys(self):
         rng = np.random.default_rng(6)
         for _ in range(500):
             for kind in exprgraph.TEMPLATE_KINDS:
                 frag = sample_template(kind, self.VARS, rng)
-                fresh = exprgraph.TermFragment(frag.nodes, frag.edges,
-                                               frag.head)
-                assert frag.key == fresh.key
-                ((copy, _),) = exprgraph.graph_terms(
+                ((copy, coef),) = exprgraph.graph_terms(
                     exprgraph.from_terms([(frag, 1.0)]))
-                assert copy.key == frag.key and copy == frag
+                assert coef == 1.0 and copy is not frag
+                assert copy == frag and hash(copy) == hash(frag)
 
     def test_edge_mutation_replaces_one_edge(self):
         cfg = GPConfig(mutation_rates=(1.0, 0.0, 0.0))
@@ -410,37 +381,46 @@ class TestSharedAtoms:
         changes = 0
         for _ in range(300):
             frag = sample_template(exprgraph.RATIONAL_TERM, self.VARS, rng)
-            # a copy with other node ids, as graph_terms returns it
+            # a copy read back from a graph in which it is the second term
             moved = exprgraph.graph_terms(exprgraph.from_terms(
                 [(power_fragment(("E", 1)), 1.0), (frag, 1.0)]))[1][0]
             for parent in (frag, moved):
-                before = (parent.nodes, parent.edges, parent.key)
+                before = (parent.tree, parent.sites())
                 ((child, coef),) = mutate(((parent, 2.0),), cfg, self.VARS,
                                           rng)
-                assert (parent.nodes, parent.edges, parent.key) == before
-                assert coef == 2.0 and child.nodes == parent.nodes
-                # every other edge is the parent's own object; the drawn
-                # feature may equal the old one
-                assert len(child.edges) == len(parent.edges)
-                replaced = [(a, b) for a, b in zip(parent.edges, child.edges)
-                            if a is not b]
-                assert len(replaced) <= 1
-                for old, new in replaced:
-                    assert (old.parent, old.child) == (new.parent, new.child)
-                    changes += old.feature != new.feature
-                assert child.key == exprgraph.TermFragment(
-                    child.nodes, child.edges, child.head).key
+                assert (parent.tree, parent.sites()) == before
+                assert coef == 2.0
+                # the same sites; the drawn feature may equal the old one
+                old, new = parent.sites(), child.sites()
+                assert [s[:2] for s in old] == [s[:2] for s in new]
+                changed = sum(a[2] != b[2] for a, b in zip(old, new))
+                assert changed <= 1
+                changes += changed
+                # every factor off the mutated path is the parent's own
+                assert sum(a is not b for a, b in
+                           zip(parent.tree[1], child.tree[1])) <= 1
+                # and the graphs differ in that one edge's feature alone
+                was = exprgraph.from_terms([(parent, coef)]).to_dict()
+                now = exprgraph.from_terms([(child, coef)]).to_dict()
+                assert was["nodes"] == now["nodes"]
+                assert sum(a != b for a, b in
+                           zip(was["edges"], now["edges"])) == changed
         assert changes > 300
 
     def test_zero_features_keep_their_sign(self):
-        frag = power_fragment(("E", 2))
-        target = frag.edges[0]
-        for feature in (0.0, -0.0, 0.0):
-            changed = frag.with_edge_feature(target, feature)
-            assert math.copysign(1.0, changed.edges[0].feature) \
-                == math.copysign(1.0, feature)
-            assert changed.key == exprgraph.TermFragment(
-                changed.nodes, changed.edges, changed.head).key
+        ((term, _),) = exprgraph.graph_terms(
+            exprgraph.parse("1*(E^2 + -1)^-1"))
+        for path, _, _ in term.sites():
+            for feature in (0.0, -0.0, 0.0):
+                changed = term.with_feature(path, feature)
+                graph = exprgraph.from_terms([(changed, 1.0)])
+                ((back, _),) = exprgraph.graph_terms(graph)
+                again = exprgraph.from_terms([(back, 1.0)])
+                zeros = [math.copysign(1.0, e.feature) for e in graph.edges
+                         if e.feature == 0.0]
+                assert zeros == [math.copysign(1.0, feature)]
+                assert [math.copysign(1.0, e.feature) for e in again.edges] \
+                    == [math.copysign(1.0, e.feature) for e in graph.edges]
 
 
 class TestValidate:
@@ -504,6 +484,20 @@ class TestValidate:
         b.edge(lg, b.node(VAR, "x"), 1.0)
         g = b.build(root)
         assert "edge-feature" in {v.kind for v in validate(g)}
+
+    def test_shared_node_is_named(self):
+        b = GraphBuilder()
+        root = b.node(ADD)
+        power = b.node(POW)
+        b.edge(power, b.node(VAR, "x"), 1.0)
+        for coef in (2.0, 3.0):
+            m = b.node(MUL)
+            b.edge(root, m, coef)
+            b.edge(m, power, 2.0)
+        messages = [v.message for v in validate(b.build(root))
+                    if v.kind == "shared-node"]
+        assert messages == [f"node {power} has 2 incoming edges; "
+                            "a node may have one parent edge"]
 
     def test_root_child_must_take_coefficient(self):
         b = GraphBuilder()

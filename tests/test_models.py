@@ -192,7 +192,7 @@ class TestGraphForms:
         def refuse(*args):
             raise AssertionError("graph evaluator called")
         monkeypatch.setattr(exprgraph, "evaluate", refuse)
-        monkeypatch.setattr(exprgraph, "_eval_root", refuse)
+        monkeypatch.setattr(exprgraph, "_value", refuse)
         assert round(evaluate_model("ri-discovered-4", REFERENCE_BUNDLE), 3) \
             == 44.832
 

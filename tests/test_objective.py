@@ -13,13 +13,11 @@ from coronakit.errors import (
 from coronakit.objective import (
     LossBreakdown,
     MonotonicitySpec,
-    accuracy_loss,
     default_monotonicity_spec,
     fit_coefficients,
     monotonicity_loss,
     r_squared,
     score_candidate,
-    total_loss,
 )
 
 from helpers import const_fragment, graph_of, log_fragment, power_fragment
@@ -96,13 +94,15 @@ class TestAccuracyLoss:
         x = np.array([1.0, 2.0, 3.0])
         data = make_dataset(x=x, y=2 * x)
         g = graph_of((1.0, power_fragment(("x", 1))))
-        assert accuracy_loss(g, data) == pytest.approx(0.0, abs=1e-12)
+        _, r2 = fit_coefficients(g, data)
+        assert 1.0 - r2 == pytest.approx(0.0, abs=1e-12)
 
     def test_mean_predictor_is_one(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         data = make_dataset(x=x, y=np.array([1.0, -1.0, 1.0, -1.0]))
         g = graph_of((1.0, const_fragment()))
-        assert accuracy_loss(g, data) == pytest.approx(1.0, abs=1e-12)
+        _, r2 = fit_coefficients(g, data)
+        assert 1.0 - r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_computed_r_squared(self):
         # SS_res = 8, SS_tot = 0.5 -> 1 - R^2 = 16
@@ -178,7 +178,7 @@ class TestTotalLoss:
         spec = MonotonicitySpec(variable="x", sign=+1, domain=(1.0, 4.0),
                                 grid=10, nominal={})
         lam = 0.01
-        bd = total_loss(g, data, [spec], lam)
+        _, bd = score_candidate(g, data, [spec], lam)
         assert bd.total == pytest.approx(bd.l_acc + lam * bd.l_mono, rel=1e-12)
         assert bd.l_mono >= 0.0
 
@@ -188,14 +188,14 @@ class TestTotalLoss:
         g = graph_of((1.0, power_fragment(("x", 1))))
         spec = MonotonicitySpec(variable="x", sign=+1, domain=(1.0, 4.0),
                                 grid=5, nominal={})
-        bd = total_loss(g, data, [spec], 0.5)
+        _, bd = score_candidate(g, data, [spec], 0.5)
         assert bd.total == pytest.approx(0.0, abs=1e-12)
 
     def test_rejected_candidate_ranks_last(self):
         x = np.array([0.0, 1.0, 2.0])
         data = make_dataset(x=x, y=x + 1)
         g = graph_of((1.0, power_fragment(("x", -1))))
-        bd = total_loss(g, data, [], 0.01)
+        _, bd = score_candidate(g, data, [], 0.01)
         assert bd.total == math.inf
         assert bd.total > 1e18  # ranks below any finite competitor
 
@@ -204,7 +204,7 @@ class TestTotalLoss:
         data = make_dataset(x=x, y=x)
         g = graph_of((1.0, power_fragment(("x", 1))))
         with pytest.raises(ValueError):
-            total_loss(g, data, [], 0.0)
+            score_candidate(g, data, [], 0.0)
 
 
 def reference_breakdown(graph, data, specs, lambda_mono):

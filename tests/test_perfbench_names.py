@@ -31,3 +31,11 @@ def test_discover_wrappers_resolve():
 def test_predict_layer_names_resolve(metric):
     module, attr = metric.removesuffix("_s").split(".")
     assert hasattr(importlib.import_module(f"coronakit.{module}"), attr)
+
+
+def test_term_repeats_reads_traced_graphs():
+    # the extract_term/from_terms/render path that only traced runs take
+    from coronakit.exprgraph import parse
+
+    run = perfbench_module("run")
+    assert run.term_repeats([(0, parse("1*E^2 + 2*E^2 + 3*n"))]) == (3, 1)

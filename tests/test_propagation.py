@@ -271,6 +271,23 @@ class TestModalDecomposition:
         assert np.all(dec.gamma.real >= 0)
         np.testing.assert_allclose(dec.gamma ** 2, dec.eigenvalues, rtol=1e-10)
 
+    @pytest.mark.parametrize("zy", [[[1.0, 1.0], [0.0, 1.0]],
+                                    [[0.0, 1.0], [0.0, 0.0]]],
+                             ids=["jordan-block", "nilpotent"])
+    def test_defective_product_is_refused(self, zy):
+        # both pass the residual check: only cond(M) tells
+        with pytest.raises(DefectiveMatrixError, match="condition number"):
+            pp.modal_decompose(fake_model(zy, np.eye(2)))
+
+    def test_real_lines_are_well_conditioned(self):
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            model = pp.build_line_model(random_geometry(rng))
+            dec = pp.modal_decompose(model)
+            assert dec.condition == pytest.approx(
+                np.linalg.cond(dec.M, 1), rel=1e-9)
+            assert 1.0 <= dec.condition <= 100.0
+
 
 class TestCoronaCurrents:
     def test_zero_excitation_gives_zero_current(self):

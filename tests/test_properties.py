@@ -1,5 +1,5 @@
-"""Property-based tests: the render/parse round trip, compiled terms against
-the graph evaluator, and the input loaders.
+"""Property-based tests: the render/parse round trip, the term/graph round
+trip, compiled terms against the graph evaluator, and the input loaders.
 
 Example counts are bounded so that the whole file runs in a few seconds.
 """
@@ -39,6 +39,21 @@ def test_render_parse_round_trip(seed, mutations, coefs):
     parsed = exprgraph.parse(text)
     assert exprgraph.validate(parsed) == []
     assert exprgraph.render(parsed) == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mutations=st.integers(0, 4),
+       coefs=st.lists(COEFFICIENTS, min_size=4, max_size=4))
+def test_terms_read_back_from_their_graph(seed, mutations, coefs):
+    config = evolve.GPConfig(max_terms=4)
+    rng = np.random.default_rng(seed)
+    terms = evolve.random_graph(config, VARIABLES, rng)
+    for _ in range(mutations):
+        terms = evolve.mutate(terms, config, VARIABLES, rng)
+    terms = [(term, coef) for (term, _), coef in zip(terms, coefs)]
+    back = exprgraph.graph_terms(exprgraph.from_terms(terms))
+    assert back == terms
+    assert [hash(term) for term, _ in back] == [hash(term) for term, _ in terms]
 
 
 class OutOfDomain(Exception):
