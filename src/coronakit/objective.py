@@ -8,6 +8,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import exprgraph
 from .data import Dataset
@@ -151,6 +152,24 @@ def _sweep_penalties(sweeps: np.ndarray, coefs: np.ndarray,
     return np.where(finite, total, INF)
 
 
+def _svd_failed(err, flag):
+    """The error ``np.linalg.lstsq`` raises when its SVD does not converge."""
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq_stack(designs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients, shaped (B, k, 1), of each design in a
+    (B, rows, k) stack against ``y``, from the gufunc ``np.linalg.lstsq``
+    calls, with its ``rcond`` and error rule: each item is the same LAPACK
+    ``dgelsd`` call, so it is bit-identical to ``lstsq`` on that design."""
+    rows, k = designs.shape[1:]
+    rcond = np.finfo(np.float64).eps * max(rows, k)
+    with np.errstate(call=_svd_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _umath_linalg.lstsq(designs, y[:, None], rcond,
+                                   signature="ddd->ddid")[0]
+
+
 #: bound on the term columns one TermScorer keeps, in bytes of column data
 COLUMN_CACHE_BYTES = 1 << 20
 
@@ -172,11 +191,11 @@ class TermScorer:
 
     ``score_batch`` takes candidates in chunks whose distinct terms fit the
     block, evaluates a chunk's missing terms in one call, and evicts only
-    columns the chunk does not use.  Each candidate is then fitted on its
-    own, by ``lstsq`` on its design matrix, and the fitted candidates' sweeps
-    are stacked by term count.  A score depends only on the terms, never
-    on the cache's state or on the other candidates, so neither eviction
-    nor chunking can change a result.
+    columns the chunk does not use.  The chunk's candidates are then
+    grouped by term count, and each group is fitted and swept in stacks.
+    A score depends only on the terms, never on the cache's state or on
+    the other candidates, so neither eviction, chunking nor stacking can
+    change a result.
     """
 
     def __init__(self, data: Dataset, specs: list[MonotonicitySpec],
@@ -272,42 +291,53 @@ class TermScorer:
         for chunk in self._chunks(candidates):
             terms = dict.fromkeys(term for i in chunk for term in candidates[i])
             columns, finite, row = self._load(terms)
-            fitted = {}
+            groups = {}
             for i in chunk:
-                rows = [row[term] for term in candidates[i]]
-                if not finite[rows].all():
+                groups.setdefault(len(candidates[i]), []).append(i)
+            for group in groups.values():
+                at = np.array([[row[term] for term in candidates[i]]
+                               for i in group])
+                ok = finite[at].all(axis=1)
+                group = np.array(group)
+                for i in group[~ok]:
                     out[i] = (None, LossBreakdown.rejected())
-                    continue
-                coefs, r2 = self._fit(columns[rows, :self.n_rows].T)
-                fitted.setdefault(len(rows), []).append((i, rows, coefs, r2))
-            for group in fitted.values():
-                self._losses(columns, group, out)
+                if ok.any():
+                    self._score_group(columns, at[ok], group[ok], out)
         return out
 
-    def _fit(self, design: np.ndarray) -> tuple[np.ndarray, float]:
-        """Least-squares coefficients of one (rows, k) design matrix and
-        their R^2.  Rank-deficient designs take the minimum-norm solution."""
+    def _score_group(self, columns, at, group, out) -> None:
+        """Fit and score candidates with one term count, into ``out``:
+        candidate ``group[b]`` has the terms at rows ``at[b]`` of
+        ``columns``, all finite on the data rows.  They are fitted in
+        stacks of C-ordered (rows, k) designs, and each R^2 and sweep is
+        reduced per candidate, so no result depends on the stacking."""
         if self.ss_tot == 0.0:
             raise DegenerateTargetError("all target values are equal")
-        matrix = np.ascontiguousarray(design)
-        coefs = np.linalg.lstsq(matrix, self.y, rcond=None)[0]
-        ss_res = float(np.sum((self.y - matrix @ coefs) ** 2))
-        return coefs, 1.0 - ss_res / self.ss_tot
-
-    def _losses(self, columns, group, out) -> None:
-        """Losses of fitted candidates with one term count, into ``out``;
-        ``group`` holds ``(index, rows, coefs, r2)`` per candidate."""
-        sweeps = columns[np.array([rows for _, rows, _, _ in group]),
-                         self.n_rows:]
-        penalties = _sweep_penalties(
-            sweeps, np.array([coefs for _, _, coefs, _ in group]), self.specs)
-        for (i, _, coefs, r2), l_mono in zip(group, penalties):
-            l_acc, l_mono = 1.0 - r2, float(l_mono)
-            total = (INF if math.isinf(l_mono)
-                     else l_acc + self.lambda_mono * l_mono)
-            out[i] = ([float(c) for c in coefs],
-                      LossBreakdown(l_acc=l_acc, l_mono=l_mono, total=total,
-                                    r2=r2))
+        n_rows, k = self.n_rows, at.shape[1]
+        # a stack's designs and their fitted values: k + 1 columns each
+        size = max(1, COLUMN_CACHE_BYTES // (8 * n_rows * (k + 1)))
+        for start in range(0, len(at), size):
+            stack = at[start:start + size]
+            designs = np.empty((len(stack), n_rows, k))
+            for j in range(k):
+                designs[:, :, j] = columns[stack[:, j], :n_rows]
+            coefs = _lstsq_stack(designs, self.y)
+            # the residuals overwrite the fitted values: one scratch array
+            residuals = (designs @ coefs)[:, :, 0]
+            np.subtract(self.y, residuals, out=residuals)
+            ss_res = np.sum(np.square(residuals, out=residuals), axis=1)
+            r2s = 1.0 - ss_res / self.ss_tot
+            coefs = coefs[:, :, 0]
+            penalties = _sweep_penalties(columns[stack, n_rows:], coefs,
+                                         self.specs)
+            for i, c, r2, l_mono in zip(group[start:start + size].tolist(),
+                                        coefs.tolist(), r2s.tolist(),
+                                        penalties.tolist()):
+                l_acc = 1.0 - r2
+                total = (INF if math.isinf(l_mono)
+                         else l_acc + self.lambda_mono * l_mono)
+                out[i] = (c, LossBreakdown(l_acc=l_acc, l_mono=l_mono,
+                                           total=total, r2=r2))
 
     def score(self, terms) -> tuple[list[float] | None, LossBreakdown]:
         """Fitted root coefficients (None when rejected) and the loss of a

@@ -294,8 +294,11 @@ def modal_decompose(model: LineElectricalModel) -> ModalDecomposition:
         values, vectors = np.linalg.eig(zy)
         order = np.lexsort((values.imag, values.real))
         values, vectors = values[order], vectors[:, order]
-        diag = np.linalg.solve(vectors, zy @ vectors)
-        inverse = np.linalg.inv(vectors)
+        # one LU of M serves both M^-1 ZY M and M^-1
+        n = len(vectors)
+        both = np.linalg.solve(
+            vectors, np.concatenate((zy @ vectors, np.eye(n)), axis=1))
+        diag, inverse = both[:, :n], both[:, n:]
     except np.linalg.LinAlgError as exc:
         raise DefectiveMatrixError(f"ZY eigendecomposition failed: {exc}") from None
     residual = float(np.linalg.norm(diag - np.diag(diag.diagonal())) / scale)

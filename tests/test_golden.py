@@ -63,3 +63,24 @@ def test_one_column_cache_gives_golden_bytes(monkeypatch):
     monkeypatch.setattr(objective, "COLUMN_CACHE_BYTES", 8 * (90 + 3 * 20))
     want = (GOLDEN / "mono-specs.json").read_bytes()
     assert golden_report("mono-specs.json").encode("utf-8") == want
+
+
+def test_one_candidate_per_stack_gives_golden_bytes(monkeypatch):
+    # the column block keeps its full size, and then every stacked fit
+    # is cut to one candidate
+    init, solve, stacks = objective.TermScorer.__init__, objective._lstsq_stack, []
+
+    def init_then_one_per_stack(self, *args):
+        init(self, *args)
+        assert len(self._block) > 1
+        monkeypatch.setattr(objective, "COLUMN_CACHE_BYTES", 1)
+
+    def spy(designs, y):
+        stacks.append(len(designs))
+        return solve(designs, y)
+
+    monkeypatch.setattr(objective.TermScorer, "__init__", init_then_one_per_stack)
+    monkeypatch.setattr(objective, "_lstsq_stack", spy)
+    want = (GOLDEN / "mono-specs.json").read_bytes()
+    assert golden_report("mono-specs.json").encode("utf-8") == want
+    assert stacks and set(stacks) == {1}

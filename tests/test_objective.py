@@ -443,6 +443,82 @@ class TestScoreBatch:
             == [True, True, True, False]
 
 
+X, X2, CONST = (power_fragment(("x", 1)), power_fragment(("x", 2)),
+                const_fragment())
+
+
+def badly_scaled_rows():
+    """w^4 is about 1e16 next to x of about 1e-2: ``lstsq``'s rcond cuts
+    the small singular values, so (w^4, x, 1) fits r^2 = 0.886 where
+    column-scaled columns fit 0.9999997."""
+    x = np.linspace(0.01, 0.02, 12)
+    return make_dataset(x=x, w=np.linspace(9e3, 1.1e4, 12),
+                        y=3.0 * x + 0.5 * np.sin(40.0 * x))
+
+
+#: name -> (data, candidates) that the stacked fit must solve as lstsq does
+STACKED_FITS = {
+    "fewer rows than terms": (
+        make_dataset(x=[1.0, 2.0], y=[1.0, 3.0]),
+        [(X, X2, CONST), (X2, CONST, X), (X, X2)]),
+    "two identical terms": (
+        make_dataset(x=[1.0, 2.0, 3.0, 5.0], y=[4.0, 8.0, 13.0, 19.0]),
+        [(X, X), (X, X, CONST), (X2, X2, X2), (X, CONST)]),
+    "constants only": (
+        make_dataset(x=[1.0, 2.0, 3.0], y=[1.0, 6.0, 2.0]),
+        [(CONST,), (CONST, CONST), (CONST, CONST, CONST), (X, CONST)]),
+    "badly scaled": (
+        badly_scaled_rows(),
+        [(power_fragment(("w", 4)), X, CONST), (X, CONST, X2),
+         (power_fragment(("w", 4)),)]),
+}
+
+
+class TestStackedFit:
+    """The stacked solves against ``reference_score``, one
+    ``np.linalg.lstsq`` per candidate on its C-ordered design, with ``==``:
+    stacking may change no bit of a coefficient or an R^2."""
+
+    @staticmethod
+    def assert_fits_like_lstsq(scored, candidates, data):
+        assert scored == [reference_score(terms, data, [], 0.01)
+                          for terms in candidates]
+
+    @pytest.mark.parametrize("name", sorted(STACKED_FITS))
+    def test_matches_lstsq_bit_for_bit(self, name):
+        data, candidates = STACKED_FITS[name]
+        scored = objective.TermScorer(data, [], 0.01).score_batch(candidates)
+        self.assert_fits_like_lstsq(scored, candidates, data)
+
+    def test_badly_scaled_design_keeps_the_lstsq_fit(self):
+        data, candidates = STACKED_FITS["badly scaled"]
+        _, loss = objective.TermScorer(data, [], 0.01).score(candidates[0])
+        assert loss.r2 == pytest.approx(0.886, abs=1e-3)
+
+    def test_group_split_into_stacks(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(1.0, 3.0, 40)
+        data = make_dataset(x=x, y=np.log(x) + 0.1 * rng.normal(size=40))
+        pool = [X, X2, CONST, power_fragment(("x", -1))]
+        candidates = [tuple(pool[j] for j in rng.permutation(4)[:k])
+                      for k in (2, 3, 2, 2, 3, 2, 1, 2, 3)]
+        stacks = []
+        real = objective._lstsq_stack
+
+        def spy(designs, y):
+            stacks.append(designs.shape)
+            return real(designs, y)
+
+        monkeypatch.setattr(objective, "_lstsq_stack", spy)
+        # room for the designs and fitted values of two 2-term candidates,
+        # or of one 3-term candidate, per stack
+        monkeypatch.setattr(objective, "COLUMN_CACHE_BYTES", 8 * 40 * 6)
+        scored = objective.TermScorer(data, [], 0.01).score_batch(candidates)
+        self.assert_fits_like_lstsq(scored, candidates, data)
+        assert sorted(stacks) == sorted(
+            [(1, 40, 1)] + [(2, 40, 2)] * 2 + [(1, 40, 2)] + [(1, 40, 3)] * 3)
+
+
 class TestDefaultSpec:
     def test_domain_and_nominals(self):
         data = make_dataset(E=[10.0, 20.0, 30.0], n=[4.0, 6.0, 8.0],
