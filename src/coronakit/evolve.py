@@ -3,8 +3,8 @@
 retain-then-vary loop: the best half of each scored generation survives
 unmodified, the other half is refreshed (survivor crossover or fresh
 template draws, then mutation) and rescored.  All randomness flows from
-per-generation streams derived from the run seed, and scoring is
-rng-free, so a run is a pure function of its inputs and seed.
+per-generation ``Draws`` streams derived from the run seed, and scoring
+is rng-free, so a run is a pure function of its inputs and seed.
 
 Inside the loop a candidate is a tuple of (term, coefficient) pairs; an
 ExprGraph is assembled from it only for the report and the predictions.
@@ -17,6 +17,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -84,11 +85,14 @@ Candidate = tuple[tuple[exprgraph.TermFragment, float], ...]
 @dataclass
 class Individual:
     """A candidate and its loss.  Scoring replaces its coefficients, never
-    its terms, so its node count is counted once."""
+    its terms, so its node count is counted once, and a scored individual
+    is rendered once, on first use."""
 
     terms: Candidate
     loss: objective.LossBreakdown | None = None
     node_count: int = field(init=False, repr=False, compare=False)
+    _rendering: str | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self):
         self.node_count = 1 + sum(term.node_count for term, _ in self.terms)
@@ -99,8 +103,116 @@ class Individual:
         return exprgraph.from_terms(self.terms)
 
     @property
+    def rendering(self) -> str:
+        """``render_terms(self.terms)``, kept once the individual is scored
+        and its coefficients are final."""
+        if self._rendering is not None:
+            return self._rendering
+        text = exprgraph.render_terms(self.terms)
+        if self.scored:
+            self._rendering = text
+        return text
+
+    @property
     def scored(self) -> bool:
         return self.loss is not None
+
+
+# ---------------------------------------------------------------------------
+# random draws
+# ---------------------------------------------------------------------------
+
+#: raw 64-bit PCG64 outputs that ``Draws`` reads at a time
+RAW_BLOCK = 256
+
+_MASK32 = 0xFFFFFFFF
+
+
+class Draws:
+    """A search's random stream: the draws ``np.random.default_rng(seed)``
+    makes, computed in Python from the raw output of the same PCG64.
+
+    numpy turns raw 64-bit PCG64 values into draws with fixed arithmetic,
+    and this class repeats it for the three calls a search makes (numpy
+    2.x; the raw stream itself is stable under NEP 19):
+
+    * ``random()`` is ``(next64 >> 11) * 2**-53``;
+    * ``integers(low, high)`` is Lemire's bounded draw over 32-bit words,
+      the low half of a raw value first and its high half kept for the
+      next word, as PCG64 buffers it; a range of one value draws nothing;
+    * ``choice(n, size=k, replace=False)`` is Floyd's algorithm, each
+      step a bounded draw, followed by numpy's shuffle of the k picks.
+
+    Arguments outside these cases (``replace=True``, ``p``, ``n > 10000``,
+    where numpy shuffles a tail instead, and ranges of more than 2**32
+    values, which take 64-bit draws) raise ValueError, so a call cannot
+    drift from numpy's draws unnoticed.  Raw values are read a block at a
+    time; reading ahead changes no draw.
+    """
+
+    __slots__ = ("_next64", "_half")
+
+    def __init__(self, seed):
+        bits = np.random.PCG64(seed)
+        blocks = map(np.ndarray.tolist, map(bits.random_raw, repeat(RAW_BLOCK)))
+        self._next64 = chain.from_iterable(blocks).__next__
+        #: the high word of the last raw value split into 32-bit words
+        self._half = None
+
+    def random(self) -> float:
+        """A uniform float in [0, 1)."""
+        return (self._next64() >> 11) * 1.1102230246251565e-16
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        """A uniform integer in [low, high), or in [0, low) alone."""
+        if high is None:
+            low, high = 0, low
+        span = high - low
+        if span == 1:
+            return low
+        if not 1 < span <= 1 << 32:
+            raise ValueError(f"Draws.integers takes 1 to 2**32 values, "
+                             f"not [{low}, {high})")
+        return low + self._below(span)
+
+    def _below(self, span: int) -> int:
+        """Lemire's draw in [0, span) for 1 < span <= 2**32, as numpy's
+        ``buffered_bounded_lemire_uint32``: a 32-bit word times ``span``
+        is redrawn while its low half is below ``2**32 % span``.  numpy
+        tests the low half against ``span`` before it computes that
+        threshold, which is smaller, so the two loops draw alike; at span
+        2**32 the threshold is 0 and the word itself is returned, as in
+        numpy's branch for that range."""
+        threshold = (1 << 32) % span
+        while True:
+            half = self._half
+            if half is None:
+                raw = self._next64()
+                self._half = raw >> 32
+                m = (raw & _MASK32) * span
+            else:
+                self._half = None
+                m = half * span
+            if (m & _MASK32) >= threshold:
+                return m >> 32
+
+    def choice(self, a: int, size: int | None = None, replace: bool = True,
+               p=None) -> list[int]:
+        """``size`` distinct integers in [0, a), as numpy's
+        ``choice(a, size=size, replace=False)`` draws and orders them."""
+        if replace or p is not None or not isinstance(a, int) \
+                or not isinstance(size, int) or not 0 <= size <= a <= 10000:
+            raise ValueError("Draws.choice takes choice(a, size=k, "
+                             "replace=False) with 0 <= k <= a <= 10000")
+        below = self._below
+        picks: list[int] = []
+        for j in range(a - size, a):  # Floyd: one pick in [0, j] per step
+            pick = below(j + 1) if j else 0
+            picks.append(j if pick in picks else pick)
+        for i in range(size - 1, 0, -1):
+            j = below(i + 1)
+            picks[i], picks[j] = picks[j], picks[i]
+        return picks
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +369,7 @@ def _score_population(population, scorer: objective.TermScorer,
     if dedup:
         seen = set()
         for ind in rank(population):
-            key = exprgraph.render_terms(ind.terms)
+            key = ind.rendering
             if key in seen:
                 ind.loss = objective.LossBreakdown.rejected()
             else:
@@ -350,19 +462,16 @@ def _next_generation(ranked: list[Individual], config: GPConfig, variables,
     survivors or, failing the crossover draw, fresh candidates; each
     offspring may then mutate."""
     survivors = select(ranked, config)
-    rendered: list[str | None] = [None] * len(survivors)
     varied: list[Individual] = []
     for pos in range(len(survivors), config.population_size, 2):
         k = min(2, config.population_size - pos)
         if rng.random() < config.crossover_prob:
             i = int(rng.integers(len(survivors)))
             j = int(rng.integers(len(survivors)))
-            for s in (i, j):  # each survivor is rendered once at most
-                if rendered[s] is None:
-                    rendered[s] = exprgraph.render_terms(survivors[s].terms)
-            t1, t2 = crossover(survivors[i].terms, survivors[j].terms, rng,
+            a, b = survivors[i], survivors[j]
+            t1, t2 = crossover(a.terms, b.terms, rng,
                                n_swap=config.crossover_terms,
-                               identical=rendered[i] == rendered[j])
+                               identical=a.rendering == b.rendering)
             offspring = [t1, t2][:k]
         else:
             offspring = [random_graph(config, variables, rng)
@@ -391,7 +500,7 @@ def run_discovery(data: Dataset, specs, config: GPConfig) -> RunReport:
     variables = data.variables
 
     streams = np.random.SeedSequence(config.seed).spawn(config.generations + 1)
-    rngs = [np.random.default_rng(s) for s in streams]
+    rngs = [Draws(s) for s in streams]
 
     population = init_population(config, variables, rngs[0])
     trace: list[list[float]] = []
@@ -410,7 +519,7 @@ def run_discovery(data: Dataset, specs, config: GPConfig) -> RunReport:
     equations = []
     seen = set()
     for ind in ranked:
-        expression = exprgraph.render_terms(ind.terms)
+        expression = ind.rendering
         if expression in seen:
             continue
         seen.add(expression)

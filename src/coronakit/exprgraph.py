@@ -161,17 +161,18 @@ class TermFragment:
 
     Terms compare and hash as their trees, so two equal terms evaluate to
     bit-identical values and assemble into identical graphs.  A term keeps
-    its hash, and computes its node count and what ``render`` shows of it
-    once, on first use.
+    its hash, and computes its node count, its mutable sites and what
+    ``render`` shows of it once, on first use.
     """
 
-    __slots__ = ("tree", "_hash", "_size", "_parts")
+    __slots__ = ("tree", "_hash", "_size", "_parts", "_sites")
 
-    def __init__(self, tree: tuple):
+    def __init__(self, tree: tuple, size: int | None = None):
         self.tree = tree
         self._hash = hash(tree)
-        self._size = None
+        self._size = size
         self._parts = None
+        self._sites = None
 
     @property
     def node_count(self) -> int:
@@ -187,16 +188,20 @@ class TermFragment:
             self._parts = _term_parts(self.tree)
         return self._parts
 
-    def sites(self) -> list[tuple[tuple, str, float]]:
+    def sites(self) -> tuple[tuple[tuple, str, float], ...]:
         """The inner features an edge mutation may change, as ``(path, kind,
         feature)`` in the order the term's graph writes their edges:
         exponents (kind POW), log bases (LOG) and inner-sum coefficients
         (ADD).  ``path`` is what ``with_feature`` takes."""
-        return list(_sites(self.tree, ()))
+        if self._sites is None:
+            self._sites = tuple(_sites(self.tree, ()))
+        return self._sites
 
     def with_feature(self, path: tuple, feature: float) -> "TermFragment":
-        """This term with the feature at ``path`` (from ``sites``) replaced."""
-        return TermFragment(_with_feature(self.tree, path, float(feature)))
+        """This term with the feature at ``path`` (from ``sites``) replaced:
+        the same structure, so the same node count."""
+        return TermFragment(_with_feature(self.tree, path, float(feature)),
+                            self.node_count)
 
     def __eq__(self, other):
         return isinstance(other, TermFragment) and self.tree == other.tree
@@ -221,7 +226,17 @@ def _children(tree) -> tuple:
 
 
 def _node_count(tree) -> int:
-    return 1 + sum(_node_count(child) for child in _children(tree))
+    kind = tree[0]
+    if kind == POW or kind == LOG:
+        return 1 + _node_count(tree[2])
+    count = 1
+    if kind == MUL:
+        for factor in tree[1]:
+            count += _node_count(factor)
+    elif kind == ADD:
+        for _, summand in tree[1]:
+            count += _node_count(summand)
+    return count
 
 
 def _sites(tree, path):
@@ -982,9 +997,12 @@ def _pow_var(name: str, exponent) -> tuple:
     return (POW, float(exponent), (VAR, name))
 
 
-def _power_product(names, exponents) -> tuple:
-    return (MUL, tuple(_pow_var(name, exp)
-                       for name, exp in zip(names, exponents)))
+def _drawn_powers(variables, picks, exponents, rng) -> tuple:
+    """A power of each picked variable, in pick order, with an exponent
+    drawn from ``exponents`` for each."""
+    n = len(exponents)
+    return tuple([(POW, float(exponents[rng.integers(n)]), (VAR, variables[i]))
+                  for i in picks])
 
 
 def sample_template(kind: str, variables, rng, alphabet=DEFAULT_ALPHABET) -> TermFragment:
@@ -996,48 +1014,40 @@ def sample_template(kind: str, variables, rng, alphabet=DEFAULT_ALPHABET) -> Ter
     variables = list(variables)
     if not variables:
         raise ValueError("sample_template needs at least one variable")
-    alphabet = list(alphabet)
+    n_vars = len(variables)
 
     if kind == CONST_TERM:
         return TermFragment((CONST,))
 
     if kind == POLY_TERM:
-        k = int(rng.integers(1, min(3, len(variables)) + 1))
-        picks = rng.choice(len(variables), size=k, replace=False)
-        names = [variables[i] for i in picks]
-        exps = [alphabet[int(rng.integers(len(alphabet)))] for _ in names]
-        return TermFragment(_power_product(names, exps))
+        k = rng.integers(1, min(3, n_vars) + 1)
+        picks = rng.choice(n_vars, size=k, replace=False)
+        return TermFragment((MUL, _drawn_powers(variables, picks,
+                                                list(alphabet), rng)))
 
     if kind == LOG_TERM:
-        base = LOG_BASES[int(rng.integers(2))]
-        k = int(rng.integers(1, min(2, len(variables)) + 1))
-        picks = rng.choice(len(variables), size=k, replace=False)
-        pos = _positive(alphabet)
-        names = [variables[i] for i in picks]
-        exps = [pos[int(rng.integers(len(pos)))] for _ in names]
-        return TermFragment((MUL, ((LOG, base, _power_product(names, exps)),)))
+        base = LOG_BASES[rng.integers(2)]
+        k = rng.integers(1, min(2, n_vars) + 1)
+        picks = rng.choice(n_vars, size=k, replace=False)
+        product = (MUL, _drawn_powers(variables, picks, _positive(alphabet),
+                                      rng))
+        return TermFragment((MUL, ((LOG, base, product),)))
 
     if kind == RATIONAL_TERM:
         pos = _positive(alphabet)
-        factors = []
         # numerator: 0..2 positive power factors
-        n_num = int(rng.integers(0, 3))
+        n_num = rng.integers(0, 3)
+        factors = []
         if n_num:
-            picks = rng.choice(len(variables), size=min(n_num, len(variables)),
-                               replace=False)
-            for i in picks:
-                factors.append(_pow_var(variables[i],
-                                        pos[int(rng.integers(len(pos)))]))
+            picks = rng.choice(n_vars, size=min(n_num, n_vars), replace=False)
+            factors.extend(_drawn_powers(variables, picks, pos, rng))
         # denominator: 1..2 unit-coefficient power-product summands,
         # optionally plus a +-1 constant
         denom = []
-        n_sum = int(rng.integers(1, 3))
-        for s in range(n_sum):
-            k = int(rng.integers(1, min(2, len(variables)) + 1))
-            picks = rng.choice(len(variables), size=k, replace=False)
-            names = [variables[i] for i in picks]
-            exps = [pos[int(rng.integers(len(pos)))] for _ in names]
-            summand = _power_product(names, exps)
+        for s in range(rng.integers(1, 3)):
+            k = rng.integers(1, min(2, n_vars) + 1)
+            picks = rng.choice(n_vars, size=k, replace=False)
+            summand = (MUL, _drawn_powers(variables, picks, pos, rng))
             sign = 1.0 if s == 0 or rng.random() < 0.75 else -1.0
             denom.append((sign, summand))
         if rng.random() < 0.3:
@@ -1045,8 +1055,7 @@ def sample_template(kind: str, variables, rng, alphabet=DEFAULT_ALPHABET) -> Ter
         factors.append((POW, -1.0, (ADD, tuple(denom))))
         # optional extra reciprocal factor multiplying the denominator
         if rng.random() < 0.25:
-            i = int(rng.integers(len(variables)))
-            factors.append(_pow_var(variables[i], -1.0))
+            factors.append(_pow_var(variables[rng.integers(n_vars)], -1.0))
         return TermFragment((MUL, tuple(factors)))
 
     raise ValueError(f"unknown template kind {kind!r}")

@@ -283,9 +283,9 @@ class TermScorer:
         """Fitted root coefficients (None when rejected) and the loss of
         each sequence of terms, in order.
 
-        A candidate is rejected when any of its terms is non-finite on a
-        data row.  Raises DegenerateTargetError when a candidate is fitted
-        to a target whose values are all equal.
+        A candidate is rejected when it has no terms or any of its terms
+        is non-finite on a data row.  Raises DegenerateTargetError when a
+        candidate is fitted to a target whose values are all equal.
         """
         out = [None] * len(candidates)
         for chunk in self._chunks(candidates):
@@ -293,7 +293,10 @@ class TermScorer:
             columns, finite, row = self._load(terms)
             groups = {}
             for i in chunk:
-                groups.setdefault(len(candidates[i]), []).append(i)
+                if candidates[i]:
+                    groups.setdefault(len(candidates[i]), []).append(i)
+                else:  # an empty sum has nothing to fit
+                    out[i] = (None, LossBreakdown.rejected())
             for group in groups.values():
                 at = np.array([[row[term] for term in candidates[i]]
                                for i in group])
@@ -354,14 +357,15 @@ def fit_coefficients(graph: exprgraph.ExprGraph,
     """Replace outer coefficients by the least-squares minimizer.
 
     Rank-deficient designs take the minimum-norm solution.  Raises
-    RejectedCandidateError when any row has a non-finite term value and
-    DegenerateTargetError when SS_tot is zero.
+    RejectedCandidateError when the graph has no terms or any row has a
+    non-finite term value, and DegenerateTargetError when SS_tot is zero.
     """
     scorer = TermScorer(data, [], 1.0)
     coefs, breakdown = scorer.score(
         [term for term, _ in exprgraph.graph_terms(graph)])
     if coefs is None:
-        raise RejectedCandidateError("a term is non-finite on some data row")
+        raise RejectedCandidateError("the graph has no terms, or a term is "
+                                     "non-finite on some data row")
     return exprgraph.with_coefficients(graph, coefs), breakdown.r2
 
 

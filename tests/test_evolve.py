@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coronakit import evolve, exprgraph, objective
 from coronakit.data import Dataset
@@ -115,6 +118,109 @@ class TestWeightedDraw:
     def test_rejects_what_generator_choice_rejects(self, p):
         with pytest.raises(ValueError):
             evolve.choice_table(p)
+
+
+#: range sizes for ``integers``: one value (no draw), two, small, spans
+#: that reject a quarter or half of their words (3 * 2**30, 2**31 + 1), and
+#: the 32-bit edge, where 2**32 values take a raw word with no rejection
+SPANS = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 100, 3 * 2**30, 2**31 + 1,
+                         2**32 - 1, 2**32])
+CALLS = st.one_of(
+    st.just(("random",)),
+    st.tuples(st.just("integers"), st.integers(-2**40, 2**40), SPANS),
+    st.tuples(st.just("integers"), SPANS),
+    st.integers(0, 12).flatmap(
+        lambda n: st.tuples(st.just("choice"), st.just(n), st.integers(0, n))),
+)
+
+
+def call(rng, op):
+    """One ``CALLS`` entry made on ``rng``, its result as plain Python."""
+    if op[0] == "random":
+        return float(rng.random())
+    if op[0] == "integers":
+        if len(op) == 2:
+            return int(rng.integers(op[1]))
+        low, span = op[1:]
+        return int(rng.integers(low, low + span))
+    return [int(i) for i in rng.choice(op[1], size=op[2], replace=False)]
+
+
+def streams(seed):
+    """A ``Draws`` and a ``Generator`` over the same seed sequence."""
+    return (evolve.Draws(np.random.SeedSequence(seed)),
+            np.random.default_rng(np.random.SeedSequence(seed)))
+
+
+class TestDraws:
+    """``Draws`` makes exactly the draws ``default_rng`` makes, call for
+    call, and refuses every call whose numpy algorithm it does not repeat."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1),
+           calls=st.lists(CALLS, max_size=60),
+           block=st.sampled_from([1, 2, 3, 256]))
+    def test_same_draws_as_default_rng(self, seed, calls, block):
+        # small raw blocks put block boundaries between and inside calls
+        with mock.patch.object(evolve, "RAW_BLOCK", block):
+            ours, numpy_rng = streams(seed)
+        assert [call(ours, op) for op in calls] \
+            == [call(numpy_rng, op) for op in calls]
+
+    def test_long_streams_cross_many_blocks(self):
+        ops = [("random",), ("integers", 7), ("integers", -3, 2**32),
+               ("choice", 7, 3), ("integers", 1), ("choice", 3, 3)]
+        for seed in range(20):
+            ours, numpy_rng = streams(seed)
+            calls = ops * (4 * evolve.RAW_BLOCK // len(ops) + seed)
+            assert [call(ours, op) for op in calls] \
+                == [call(numpy_rng, op) for op in calls]
+
+    def test_one_value_range_draws_nothing(self):
+        ours, numpy_rng = streams(3)
+        assert ours.integers(5, 6) == 5 and ours.integers(1) == 0
+        assert ours.choice(1, size=1, replace=False) == [0]
+        assert ours.choice(0, size=0, replace=False) == []
+        assert ours.random() == numpy_rng.random()
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((3,), {"size": 2}),
+        ((3,), {"size": 2, "replace": True}),
+        ((3,), {"size": 1, "replace": False, "p": [0.2, 0.3, 0.5]}),
+        ((10_001,), {"size": 1, "replace": False}),
+        ((3,), {"size": 4, "replace": False}),
+        ((3,), {"replace": False}),
+    ], ids=["default-replace", "replace", "p", "tail-shuffle", "k-above-n",
+            "no-size"])
+    def test_choice_refuses_what_it_does_not_repeat(self, args, kwargs):
+        ours, _ = streams(0)
+        with pytest.raises(ValueError):
+            ours.choice(*args, **kwargs)
+
+    @pytest.mark.parametrize("args", [(2**32 + 1,), (-1, 2**32), (0,),
+                                      (5, 5), (5, 4)])
+    def test_integers_refuses_64_bit_and_empty_ranges(self, args):
+        ours, _ = streams(0)
+        with pytest.raises(ValueError):
+            ours.integers(*args)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_operators_make_the_same_terms(self, seed):
+        cfg = GPConfig(max_terms=4)
+        results = []
+        for rng in streams(seed):
+            made = [exprgraph.sample_template(kind, VARS, rng)
+                    for kind in exprgraph.TEMPLATE_KINDS for _ in range(5)]
+            a = random_graph(cfg, VARS, rng)
+            b = random_graph(cfg, VARS, rng)
+            made += [a, b, mutate(a, cfg, VARS, rng), mutate(b, cfg, VARS, rng),
+                     crossover(a, b, rng, n_swap=2)]
+            made.append(evolve._next_generation(
+                rank([scored(float(t), n_terms=1 + t % 3) for t in range(10)]),
+                GPConfig(population_size=10, max_terms=3), VARS, rng))
+            made[-1] = [ind.terms for ind in made[-1]]
+            results.append(made)
+        assert results[0] == results[1]
 
 
 class TestInitPopulation:

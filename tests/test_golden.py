@@ -9,6 +9,11 @@ differently.  Each test re-runs one search and compares the bytes, so any
 change to a search decision (RNG consumption, fitted coefficients, losses,
 ranking, dedup) shows up here.  Any other failure means the program
 changed behaviour: fix the program, do not rewrite the files.
+
+The files were written with each generation drawing from
+``np.random.default_rng``.  A search now draws from ``evolve.Draws``,
+which computes the same draws from the same PCG64 raw stream, and one
+test runs the search on numpy's own ``Generator`` streams again.
 """
 
 from pathlib import Path
@@ -56,6 +61,21 @@ def golden_report(name: str) -> str:
 def test_report_matches_golden_bytes(name):
     want = (GOLDEN / name).read_bytes()
     assert golden_report(name).encode("utf-8") == want
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_numpy_generator_streams_give_golden_bytes(monkeypatch, name):
+    streams = []
+
+    def generator(seed):
+        streams.append(np.random.default_rng(seed))
+        return streams[-1]
+
+    monkeypatch.setattr(evolve, "Draws", generator)
+    want = (GOLDEN / name).read_bytes()
+    assert golden_report(name).encode("utf-8") == want
+    # one stream per generation, plus the initial population's
+    assert len(streams) == 9
 
 
 def test_one_column_cache_gives_golden_bytes(monkeypatch):

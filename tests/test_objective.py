@@ -88,6 +88,16 @@ class TestFit:
         with pytest.raises(DegenerateTargetError):
             fit_coefficients(g, data)
 
+    def test_empty_graph_is_rejected(self):
+        x = np.array([0.0, 1.0, 2.0])
+        data = make_dataset(x=x, y=3 * x + 5)
+        with pytest.raises(objective.RejectedCandidateError):
+            fit_coefficients(exprgraph.from_terms([]), data)
+        graph, breakdown = score_candidate(exprgraph.from_terms([]), data,
+                                           [], 0.01)
+        assert breakdown == LossBreakdown.rejected()
+        assert graph.term_count == 0
+
 
 class TestAccuracyLoss:
     def test_perfect_fit_is_zero(self):
@@ -401,6 +411,19 @@ class TestScoreBatch:
         assert [(coefs is None, math.isinf(loss.total))
                 for coefs, loss in want] == [(False, False), (False, True),
                                              (True, True)]
+
+    @pytest.mark.parametrize("setup", sorted(SETUPS))
+    def test_empty_candidate_is_rejected_alone(self, setup):
+        data, specs = SETUPS[setup]()
+        normal = tuple(term for term, _ in exprgraph.graph_terms(
+            exprgraph.parse("2*n + 1*E^-1 + 3*d^2")))
+        want = objective.TermScorer(data, specs, 0.01).score(normal)
+        assert want[0] is not None
+        rejected = (None, LossBreakdown.rejected())
+        scorer = objective.TermScorer(data, specs, 0.01)
+        assert scorer.score_batch([(), normal]) == [rejected, want]
+        assert scorer.score_batch([normal, ()]) == [want, rejected]
+        assert scorer.score_batch([()]) == [rejected]
 
 
     @pytest.mark.parametrize("setup", sorted(SETUPS))

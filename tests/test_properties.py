@@ -1,5 +1,6 @@
 """Property-based tests: the render/parse round trip, the term/graph round
-trip, compiled terms against the graph evaluator, and the input loaders.
+trip, compiled terms against the graph evaluator, the facts a term and an
+individual keep against the same facts recomputed, and the input loaders.
 
 Example counts are bounded so that the whole file runs in a few seconds.
 """
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coronakit import cli, evolve, exprgraph
-from coronakit.data import load_dataset
+from coronakit import cli, evolve, exprgraph, objective
+from coronakit.data import Dataset, load_dataset
 from coronakit.errors import InputError, NonFiniteError
 
 VARIABLES = ["E", "n", "d", "x_1"]
@@ -86,6 +87,38 @@ def test_compiled_term_matches_evaluate(seed, mutations, point):
                 compiled(*point)
         else:
             assert compiled(*point) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def positive_rows():
+    """12 rows over VARIABLES with positive values, and a target."""
+    rng = np.random.default_rng(4)
+    columns = {name: rng.uniform(0.5, 4.0, 12) for name in VARIABLES}
+    columns["y"] = rng.normal(size=12)
+    return Dataset(columns=columns, target="y")
+
+
+SCORER = objective.TermScorer(positive_rows(), [], 0.01)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mutations=st.integers(0, 4))
+def test_cached_facts_equal_recomputed_facts(seed, mutations):
+    config = evolve.GPConfig(max_terms=4)
+    rng = np.random.default_rng(seed)
+    terms = evolve.random_graph(config, VARIABLES, rng)
+    for _ in range(mutations):
+        terms = evolve.mutate(terms, config, VARIABLES, rng)
+    ind = evolve.Individual(terms)
+    assert ind.node_count == len(exprgraph.from_terms(terms).nodes)
+    for term, _ in terms:
+        fresh = exprgraph.TermFragment(term.tree)
+        assert term.sites() == fresh.sites()
+        assert term.node_count == fresh.node_count
+    # rendered before scoring, with the drawn coefficients, then scored
+    assert ind.rendering == exprgraph.render_terms(terms)
+    evolve._score_population([ind], SCORER, dedup=False)
+    assert ind.rendering == exprgraph.render_terms(ind.terms)
+    assert ind.rendering is ind.rendering
 
 
 # numbers as the JSON loaders see them: plausible values, the non-finite
